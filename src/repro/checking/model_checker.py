@@ -40,7 +40,7 @@ from repro.core.errors import (
     SpecError,
 )
 from repro.core.invariants import check_all_invariants_cached
-from repro.core.language import Code, Skip, Tx, sorted_choices
+from repro.core.language import Code, Skip, Tx
 from repro.core.machine import Machine
 from repro.core.ops import IdGenerator, Op
 from repro.core.precongruence import precongruent
@@ -204,12 +204,6 @@ class _Node:
         return (self.machine.state_key(), self.committed)
 
 
-# ``step(code)`` in the checker's deterministic exploration order — now an
-# attribute memo on the code node itself (one pointer load per revisit, no
-# recursive re-hash of the AST); kept under the old name for callers.
-_sorted_choices = sorted_choices
-
-
 def _successors(
     node: _Node,
     options: ExploreOptions,
@@ -217,21 +211,21 @@ def _successors(
     reducer: Optional[Reducer] = None,
 ) -> List[Tuple[str, Tuple, Optional[_Node]]]:
     """Enabled rule instances as ``(rule, node_key, successor)`` triples,
-    probed through the machine's check-then-construct path: a disabled
-    instance costs a few (cached) criterion queries — no exception
-    allocation, no discarded successor states, no minted operation ids.
+    probed through the machine's rule table: a disabled instance costs a
+    few (cached) criterion queries — no exception allocation, no
+    discarded successor states, no minted operation ids.
 
-    When ``seen`` is given (the checker's visited-key set), every rule
-    with a derivable key goes key-first: the successor's canonical key is
-    computed from this state's cached key plus cached log projections
-    (:meth:`Machine.app_key`, ``push_key``, ``pull_key``, ``unapp_key``,
-    ``unpush_key``, ``unpull_key``) and the machine is only constructed
-    (via the matching ``*_state``) when that key is new.  Most transitions
-    in an exhaustive exploration revisit states — backward moves almost
-    always do — so this skips most successor construction outright; an
-    already-seen instance comes back with successor ``None``: it still
-    counts as a transition, there is just no state to push.  ``seen`` is
-    only read here; ``explore`` mutates it strictly after this returns.
+    When ``seen`` is given (the checker's visited-key set), expansion goes
+    key-first: :meth:`Machine.successor_keys` derives every successor's
+    canonical key from this state's cached key plus cached log
+    projections, and the machine is only constructed (via
+    :meth:`Machine.successor_state`) when that key is new.  Most
+    transitions in an exhaustive exploration revisit states — backward
+    moves almost always do — so this skips most successor construction
+    outright; an already-seen instance comes back with successor
+    ``None``: it still counts as a transition, there is just no state to
+    push.  ``seen`` is only read here; ``explore`` mutates it strictly
+    after this returns.
     """
     machine = node.machine
     committed = node.committed
@@ -250,6 +244,14 @@ def _successors(
         def node_key(skey: Tuple, comm: Tuple) -> Tuple:
             return (skey, comm)
 
+    # The rule-instance enumeration policy (``repro.core.machine.Policy``):
+    # (include_backward, pull_active, pull_committed_only, pull_budget).
+    policy = (
+        options.include_backward,
+        options.pull_policy != "none",
+        options.forbid_uncommitted_pull or options.pull_policy == "committed",
+        options.max_pulled_per_thread,
+    )
     threads = machine.threads
     if (
         reducer is not None
@@ -259,12 +261,9 @@ def _successors(
     ):
         ample = reducer.ample_tid(
             machine,
-            pull_allowed=options.pull_policy != "none",
-            pull_committed_only=(
-                options.forbid_uncommitted_pull
-                or options.pull_policy == "committed"
-            ),
-            pull_budget=options.max_pulled_per_thread,
+            pull_allowed=policy[1],
+            pull_committed_only=policy[2],
+            pull_budget=policy[3],
         )
         if ample is not None:
             threads = tuple(t for t in threads if t.tid == ample)
@@ -283,7 +282,7 @@ def _successors(
                         "END",
                         nkey,
                         _Node(
-                            machine.end_state(tid, end_skey),
+                            machine.successor_state("END", tid, None, end_skey),
                             committed,
                             committed_ops,
                         ),
@@ -300,16 +299,8 @@ def _successors(
         local = thread.local
         if key_first:
             # Batched key derivation: one machine call expands every rule
-            # of this thread with the per-state constants hoisted; the
-            # matching ``*_state`` constructor runs only for new keys.
-            for rule, arg, skey in machine.successor_keys(
-                tid,
-                options.include_backward,
-                options.pull_policy != "none",
-                options.forbid_uncommitted_pull
-                or options.pull_policy == "committed",
-                options.max_pulled_per_thread,
-            ):
+            # of this thread; the successor is built only for new keys.
+            for rule, arg, skey in machine.successor_keys(tid, *policy):
                 if rule == "CMT":
                     comm = committed + (tid,)
                     comm_ops = committed_ops + (local.own_ops(),)
@@ -321,107 +312,24 @@ def _successors(
                     nkey = canon(nkey)
                 if nkey in seen:
                     emit((rule, nkey, None))
-                elif rule == "UNPULL":
-                    emit((
-                        rule,
-                        nkey,
-                        _Node(machine.unpull_state(tid, arg, skey), comm, comm_ops),
-                    ))
-                elif rule == "UNPUSH":
-                    emit((
-                        rule,
-                        nkey,
-                        _Node(machine.unpush_state(tid, arg, skey), comm, comm_ops),
-                    ))
-                elif rule == "PUSH":
-                    emit((
-                        rule,
-                        nkey,
-                        _Node(machine.push_state(tid, arg, skey), comm, comm_ops),
-                    ))
-                elif rule == "APP":
-                    emit((
-                        rule,
-                        nkey,
-                        _Node(machine.app_state(tid, arg, skey), comm, comm_ops),
-                    ))
-                elif rule == "PULL":
-                    emit((
-                        rule,
-                        nkey,
-                        _Node(machine.pull_state(tid, arg, skey), comm, comm_ops),
-                    ))
-                elif rule == "CMT":
-                    emit((
-                        rule,
-                        nkey,
-                        _Node(machine.cmt_state(tid, skey), comm, comm_ops),
-                    ))
-                else:  # UNAPP
-                    emit((
-                        rule,
-                        nkey,
-                        _Node(machine.unapp_state(tid, skey), comm, comm_ops),
-                    ))
+                else:
+                    successor = machine.successor_state(rule, tid, arg, skey)
+                    emit((rule, nkey, _Node(successor, comm, comm_ops)))
             continue
         # Construct-first path (traced runs and direct callers).
-        # APP — every step choice.
-        for choice in _sorted_choices(thread.code):
-            successor = machine.try_app(tid, choice)
-            if successor is not None:
+        for rule, arg in machine.rule_instances(tid, policy):
+            successor = machine.try_apply(rule, tid, arg)
+            if successor is None:
+                continue
+            if rule == "CMT":
+                succ_node = _Node(
+                    successor,
+                    committed + (tid,),
+                    committed_ops + (local.own_ops(),),
+                )
+            else:
                 succ_node = _Node(successor, committed, committed_ops)
-                emit(("APP", node_key(*succ_node.key()), succ_node))
-        # PUSH — every npshd entry.
-        for op in local.not_pushed_ops():
-            successor = machine.try_push(tid, op)
-            if successor is not None:
-                succ_node = _Node(successor, committed, committed_ops)
-                emit(("PUSH", node_key(*succ_node.key()), succ_node))
-        # PULL — every global entry not in L (per policy and pull budget).
-        pull_budget = options.max_pulled_per_thread
-        if options.pull_policy != "none" and (
-            pull_budget is None or len(local.pulled_ops()) < pull_budget
-        ):
-            committed_only = (
-                options.forbid_uncommitted_pull
-                or options.pull_policy == "committed"
-            )
-            for g_entry in machine.global_log:
-                if g_entry.op in local:
-                    continue
-                if committed_only and not g_entry.is_committed:
-                    continue
-                successor = machine.try_pull(tid, g_entry.op)
-                if successor is not None:
-                    succ_node = _Node(successor, committed, committed_ops)
-                    emit(("PULL", node_key(*succ_node.key()), succ_node))
-        # CMT.
-        successor = machine.try_cmt(tid)
-        if successor is not None:
-            succ_node = _Node(
-                successor,
-                committed + (tid,),
-                committed_ops + (local.own_ops(),),
-            )
-            emit(("CMT", node_key(*succ_node.key()), succ_node))
-        if options.include_backward:
-            # UNAPP (last entry only, by the rule's shape).
-            successor = machine.try_unapp(tid)
-            if successor is not None:
-                succ_node = _Node(successor, committed, committed_ops)
-                emit(("UNAPP", node_key(*succ_node.key()), succ_node))
-            # UNPUSH — every pshd entry.
-            for op in local.pushed_ops():
-                successor = machine.try_unpush(tid, op)
-                if successor is not None:
-                    succ_node = _Node(successor, committed, committed_ops)
-                    emit(("UNPUSH", node_key(*succ_node.key()), succ_node))
-            # UNPULL — every pld entry.
-            for op in local.pulled_ops():
-                successor = machine.try_unpull(tid, op)
-                if successor is not None:
-                    succ_node = _Node(successor, committed, committed_ops)
-                    emit(("UNPULL", node_key(*succ_node.key()), succ_node))
+            emit((rule, node_key(*succ_node.key()), succ_node))
     return out
 
 

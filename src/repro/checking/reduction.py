@@ -91,6 +91,16 @@ def _symmetry_perms(programs: Sequence[Tuple[int, Code]]) -> List[Dict[int, int]
     return [p for p in perms if any(k != v for k, v in p.items())]
 
 
+#: The rules whose enabled instances bar a thread from forming an ample
+#: set: those that read or write the global log (see
+#: ``Machine.RULE_FOOTPRINT``), cheapest probe first and PULL last.
+#: UNPULL writes only the local log but is grouped with them: its successor
+#: changes which PULLs are within budget, and deferring a thread's own
+#: non-APP moves is exactly what the reduction must not do (an ample set
+#: contains every enabled move of its thread).
+AMPLE_BLOCKERS = ("PUSH", "CMT", "UNPULL", "UNPUSH", "PULL")
+
+
 class Reducer:
     """Canonicalization and ample-set decisions for one exploration.
 
@@ -276,22 +286,18 @@ class Reducer:
 
         Eligibility: the thread is unfinished, has at least one enabled
         APP instance (strict progress — ample chains terminate), and has
-        *no* enabled global move (PUSH/PULL/CMT/UNPUSH/UNPULL, per the
-        checker's PULL policy).  The lowest eligible tid wins, making the
-        choice a pure function of the state.
+        *no* enabled :data:`AMPLE_BLOCKERS` instance (per the checker's
+        PULL policy).  The lowest eligible tid wins, making the choice a
+        pure function of the state.
         """
+        policy = (True, pull_allowed, pull_committed_only, pull_budget)
         for thread in machine.threads:
             if thread.done:
                 continue
             tid = thread.tid
-            if not machine.app_enabled(tid):
+            if not machine.any_enabled(tid, ("APP",), policy):
                 continue
-            if machine.nonlocal_move_enabled(
-                tid,
-                pull_allowed=pull_allowed,
-                pull_committed_only=pull_committed_only,
-                pull_budget=pull_budget,
-            ):
+            if machine.any_enabled(tid, AMPLE_BLOCKERS, policy):
                 continue
             self.ample_hits += 1
             self.ample_deferred += sum(

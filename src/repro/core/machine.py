@@ -14,26 +14,32 @@ UNPULL     discard a pulled operation (detangle)
 CMT        atomically flip all own pushed operations to ``gCmt``
 =========  ==================================================================
 
-— are methods on :class:`Machine` that return the successor state.  Every
-side-condition of Figure 5 is checked and failures raise
-:class:`~repro.core.errors.CriterionViolation` with the rule name and the
-paper's criterion numeral.  Criteria typeset in gray in the paper (not
-strictly necessary for serializability) are checked when
-``check_gray_criteria`` is set (the default), and skipped otherwise.
+— are the rows of the rule table :data:`RULES`, written as the paper
+writes them: each row holds the rule's instance enumeration, its one
+criterion function (``None`` when the side-conditions hold, else a factory
+for the :class:`~repro.core.errors.CriterionViolation` naming the rule and
+the paper's criterion numeral — or a
+:class:`~repro.core.errors.MachineError` for a malformed instance), its one
+log effect (the successor thread, global log and owner delta) and its key
+patch (how the successor's canonical key derives from the parent's).  A few
+generic drivers run the table: :meth:`Machine.apply` behind the public
+``app``/``unapp``/``push``/``unpush``/``pull``/``unpull``/``cmt`` names,
+:meth:`Machine.try_apply`, :meth:`Machine.successor_state` and the
+enumerations (:meth:`Machine.rule_instances`, :meth:`Machine.any_enabled`,
+:meth:`Machine.successor_keys`) — so the TM drivers, the model checker's
+key-first and construct-first expansions and its ample-set probe all
+decide a criterion through the same function.
+Criteria typeset in gray in the paper (not strictly necessary for
+serializability) are checked when ``check_gray_criteria`` is set (the
+default), and skipped otherwise.
 
 Machine states are immutable: steps construct new states, so histories of
 states can be retained, hashed (model checker) and rewound (§5.4) freely.
-
-The incremental kernel splits each rule into a *check* (``_check_RULE``,
-returning ``None`` when the criteria hold and a zero-argument exception
-factory otherwise) and a *construction*.  The rule methods run the check
-and build the successor; the enabledness predicates (``push_enabled`` et
-al., and :meth:`enabled_rules`) run only the check, so probing a rule no
-longer executes its body under ``try/except`` nor allocates exceptions,
-successor logs or fresh operation ids.  All ``allowed``/``allows``/
-``result`` queries go through the spec's shared denotation cache
-(:func:`~repro.core.spec.shared_denotations`) and all mover queries
-through the shared per-spec memo (:func:`~repro.core.spec.shared_movers`).
+Probing a rule runs only its criterion: no exception allocation, successor
+logs or fresh operation ids.  All ``allowed``/``allows``/``result`` queries
+go through the spec's shared denotation cache
+(:func:`~repro.core.spec.shared_denotations`) and all mover queries through
+the shared per-spec memo (:func:`~repro.core.spec.shared_movers`).
 
 Each machine thread runs a *single* transaction body (the paper's top-level
 rules likewise pertain to "a thread performing a transaction ``tx c``");
@@ -46,9 +52,19 @@ and CMT rules do.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.errors import CriterionViolation, MachineError, SpecError
 from repro.core.language import (
@@ -60,14 +76,12 @@ from repro.core.language import (
     SKIP,
     Star,
     Tx,
-    fin,
     fin_cached,
     seq_cont,
     sorted_choices,
     step,
 )
 from repro.core.logs import (
-    COMMITTED,
     EMPTY_GLOBAL,
     EMPTY_LOCAL,
     GlobalLog,
@@ -101,45 +115,20 @@ from repro.core.spec import (
 )
 from repro.obs.tracer import CAT_CRITERION, CAT_RULE, NULL_TRACER, Tracer
 
-#: a check result — ``None`` (criteria hold) or a factory building the
+#: a criterion result — ``None`` (criteria hold) or a factory building the
 #: exception the rule would raise.  Factories are only invoked on the rule
-#: path, so the predicate path never pays for message formatting.
+#: path, so probes never pay for message formatting.
 CheckResult = Optional[Callable[[], Exception]]
 
+#: an instance-enumeration policy, in :meth:`Machine.successor_keys`'s
+#: argument order: ``(include_backward, pull_active, pull_committed_only,
+#: pull_budget)``
+Policy = Tuple[bool, bool, bool, Optional[int]]
+
+#: every instance: backward rules included, PULL unrestricted
+EVERY_INSTANCE: Policy = (True, True, False, None)
+
 _UNSET = object()
-
-
-def _traced_rule(rule_name: str):
-    """Instrument a Figure 5 rule method: a ``rule`` span per application
-    (successful or not) and a ``criterion`` check event recording whether
-    the rule's side-conditions held.  With the default disabled tracer the
-    wrapper is one attribute load and one branch."""
-
-    def decorate(fn):
-        @functools.wraps(fn)
-        def wrapper(self, tid, *args):
-            tracer = self.tracer
-            if not tracer.enabled:
-                return fn(self, tid, *args)
-            start = tracer.now()
-            try:
-                successor = fn(self, tid, *args)
-            except CriterionViolation as exc:
-                tracer.span(rule_name, CAT_RULE, start, tid=tid, args={"ok": False})
-                tracer.instant(
-                    f"{rule_name}.check",
-                    CAT_CRITERION,
-                    tid=tid,
-                    args={"ok": False, "criterion": exc.criterion, "detail": exc.detail},
-                )
-                raise
-            tracer.span(rule_name, CAT_RULE, start, tid=tid, args={"ok": True})
-            tracer.instant(f"{rule_name}.check", CAT_CRITERION, tid=tid, args={"ok": True})
-            return successor
-
-        return wrapper
-
-    return decorate
 
 
 @dataclass(frozen=True)
@@ -208,6 +197,585 @@ def _thread_key(thread: Thread) -> bytes:
     return key
 
 
+# ---------------------------------------------------------------------------
+# The Figure 5 rule table
+# ---------------------------------------------------------------------------
+#
+# Per rule, four functions of ``(machine, thread, …)``:
+#
+# * ``instances(m, thread, policy)`` — the candidate arguments, criteria
+#   not yet checked: the step choice (APP), the operation
+#   (PUSH/PULL/UNPUSH/UNPULL) or ``None`` (CMT/UNAPP);
+# * ``check(m, thread, arg)`` — the rule's criteria, as a ``CheckResult``;
+# * ``effect(m, thread, arg)`` — the log effect of an enabled instance:
+#   ``(thread', G', owner_delta)``, the delta in :func:`_patch_global`'s
+#   format (``None`` when ``G`` is untouched);
+# * ``patch(m, thread, arg)`` — the successor's thread digest as a splice
+#   of the parent's, ``(code_state, start, stop, rows, owner_delta)``: the
+#   digest header gets ``code_state`` (``None`` keeps it,
+#   ``_SAVED_CONTINUATION`` takes UNAPP's saved code/stack off the live
+#   flag), packed local rows ``[start, stop)`` are replaced by ``rows``.
+#   Everything in it is a function of the thread's payload-level
+#   configuration, so :meth:`Machine.successor_keys` memoizes it across
+#   threads and operation ids.
+
+#: see ``patch`` above — the one header a recipe cannot carry, because the
+#: saved continuation of an ``npshd`` flag is not part of the key
+_SAVED_CONTINUATION = object()
+
+
+def _patch_global(
+    rows: bytes, owners: bytes, delta: Tuple, tid: int
+) -> Tuple[bytes, bytes]:
+    """The global columns of a state key after thread ``tid``'s owner
+    delta: ``("push", pid)`` appends a row owned by ``tid``;
+    ``("unpush", position)`` drops the row at that global position;
+    ``("cmt",)`` flips ``tid``'s rows to committed and releases them (its
+    local log empties)."""
+    kind = delta[0]
+    if kind == "push":
+        return rows + pack_u32(delta[1] << 1), owners + pack_i32(tid)
+    if kind == "unpush":
+        at = 4 * delta[1]
+        return rows[:at] + rows[at + 4 :], owners[:at] + owners[at + 4 :]
+    gcodes = unpack_codes(rows)
+    owner_ids = unpack_owners(owners)
+    for i, o in enumerate(owner_ids):
+        if o == tid:
+            gcodes[i] |= 1
+            owner_ids[i] = -1
+    return gcodes.tobytes(), owner_ids.tobytes()
+
+
+def _one_instance(m: "Machine", thread: Thread, policy: Policy) -> Tuple[None]:
+    return (None,)
+
+
+def _trace_rule(
+    tracer: Tracer,
+    rule: str,
+    tid: int,
+    start: float,
+    violation: Optional[CriterionViolation] = None,
+) -> None:
+    """One rule application's events: a ``rule`` span and a
+    ``{RULE}.check`` criterion instant recording whether its criteria held
+    — the stream :mod:`repro.fuzz.coverage` and flight-recorder dumps
+    read."""
+    if violation is None:
+        tracer.span(rule, CAT_RULE, start, tid=tid, args={"ok": True})
+        tracer.instant(f"{rule}.check", CAT_CRITERION, tid=tid, args={"ok": True})
+        return
+    tracer.span(rule, CAT_RULE, start, tid=tid, args={"ok": False})
+    tracer.instant(
+        f"{rule}.check",
+        CAT_CRITERION,
+        tid=tid,
+        args={"ok": False, "criterion": violation.criterion, "detail": violation.detail},
+    )
+
+
+# ------------------------------------------------------------------- APP
+
+
+def _app_instances(m: "Machine", thread: Thread, policy: Policy) -> Sequence:
+    return sorted_choices(thread.code)
+
+
+def _app_ret(m: "Machine", thread: Thread, call_node: Call) -> Any:
+    """``σ2``: the return value the specification gives ``call_node`` after
+    the local log ``L1`` (a cached denotation query; raises
+    :class:`SpecError` when ``L1`` itself is disallowed)."""
+    return m.denots.result_log(thread.local, call_node.method, call_node.args)
+
+
+def _app_check(m: "Machine", thread: Thread, choice: Tuple[Call, Code]) -> CheckResult:
+    """APP: apply a next reachable method locally.
+
+    * criterion (i):  ``(m1, c2) ∈ step(c1)`` — ``choice`` must come
+      from :meth:`Machine.app_choices`;
+    * criterion (ii): ``L1`` allows ``⟨m1, σ1, σ2, id1⟩`` — the local
+      log admits the operation, whose post-stack ``σ2`` is synthesised
+      from the specification's view of ``L1``;
+    * criterion (iii): ``fresh(id1)`` — ids come from the machine's
+      generator, unique by construction (the effect mints them; a probe
+      never does).
+    """
+    if choice not in sorted_choices(thread.code):
+        return lambda: CriterionViolation("APP", "i", f"{choice[0]!r} not in step(c)")
+    call_node = choice[0]
+    try:
+        ret = _app_ret(m, thread, call_node)
+    except SpecError as exc:
+        detail = str(exc)
+        return lambda: CriterionViolation("APP", "ii", detail)
+    method, args = call_node.method, call_node.args
+    if not m.denots.allows_pid(thread.local, payload_class_of(method, args, ret)):
+        return lambda: CriterionViolation(
+            "APP",
+            "ii",
+            f"local log does not allow {Op(method, args, ret, m.ids.fresh()).pretty()}",
+        )
+    return None
+
+
+def _app_effect(m: "Machine", thread: Thread, choice: Tuple[Call, Code]) -> Tuple:
+    """The pre-code and pre-stack are saved in the ``npshd`` flag so UNAPP
+    can rewind."""
+    call_node, continuation = choice
+    ret = _app_ret(m, thread, call_node)
+    op = Op(call_node.method, call_node.args, ret, m.ids.fresh())
+    flag = NotPushed(saved_code=thread.code, saved_stack=thread.stack)
+    new_thread = thread.evolve(
+        code=continuation, stack=ret, local=thread.local.append(op, flag)
+    )
+    return new_thread, m.global_log, None
+
+
+def _app_patch(m: "Machine", thread: Thread, choice: Tuple[Call, Code]) -> Tuple:
+    call_node, continuation = choice
+    ret = _app_ret(m, thread, call_node)
+    n = len(thread.local)
+    row = pack_u32(payload_class_of(call_node.method, call_node.args, ret) << 2)
+    return code_state_id(continuation, ret), n, n, row, None
+
+
+# ----------------------------------------------------------------- UNAPP
+
+
+def _unapp_check(m: "Machine", thread: Thread, _: None) -> CheckResult:
+    """UNAPP: rewind the last local-log entry, which must be ``npshd``
+    (criterion (i)); the effect restores the code and stack saved at APP
+    time."""
+    local = thread.local
+    if len(local) == 0:
+        return lambda: MachineError("UNAPP: empty local log")
+    last = local[-1]
+    if not last.is_not_pushed:
+        return lambda: CriterionViolation(
+            "UNAPP", "i", f"last entry {last.op.pretty()} is {last.flag!r}, not npshd"
+        )
+    return None
+
+
+def _unapp_effect(m: "Machine", thread: Thread, _: None) -> Tuple:
+    flag = thread.local[-1].flag
+    new_thread = thread.evolve(
+        code=flag.saved_code, stack=flag.saved_stack, local=thread.local.drop_last()
+    )
+    return new_thread, m.global_log, None
+
+
+def _unapp_patch(m: "Machine", thread: Thread, _: None) -> Tuple:
+    n = len(thread.local)
+    return _SAVED_CONTINUATION, n - 1, n, b"", None
+
+
+# ------------------------------------------------------------------ PUSH
+
+
+def _push_instances(m: "Machine", thread: Thread, policy: Policy) -> Sequence[Op]:
+    return thread.local.not_pushed_ops()
+
+
+def _push_check(m: "Machine", thread: Thread, op: Op) -> CheckResult:
+    """PUSH: publish a local ``npshd`` operation ``op`` to the global log.
+
+    * criterion (i):  ``op`` moves left of every ``npshd`` operation
+      preceding it in the local log (trivial when pushing in APP order,
+      as all known implementations do — §4);
+    * criterion (ii): every uncommitted global operation of *another*
+      transaction moves right of ``op`` (``u ◁ op``), so the pusher can
+      still serialize before all concurrent uncommitted transactions;
+    * criterion (iii): the global log allows ``op``.
+    """
+    local = thread.local
+    entry = local.entry_for(op)
+    if entry is None or not entry.is_not_pushed:
+        return lambda: MachineError(
+            f"PUSH: {op.pretty()} is not an npshd entry of thread {thread.tid}"
+        )
+    position = local.index_of(op)
+    codes = local.codes()
+    op_pid = payload_class_id(op)
+    lm = m.movers.left_mover_pid
+    entries = local.entries
+    # criterion (i) — both directions of local-order coherence:
+    # (a) op moves left of every earlier unpushed own operation
+    #     (preserves I_localOrder, Lemma 5.12);
+    # (b) every *later*-local own operation already published (pushed,
+    #     uncommitted) moves left of op — op will land after them in G
+    #     against local order, the pattern I_reorderPUSH (Lemma 5.10)
+    #     constrains.  In-order pushing never triggers (b); it bites on
+    #     re-publication after an UNPUSH (found by the theorem fuzzer).
+    for i in range(position):
+        c = codes[i]
+        if c & 3 == 0 and not lm(op_pid, c >> 2):
+            earlier = entries[i]
+            return lambda earlier=earlier: CriterionViolation(
+                "PUSH",
+                "i",
+                f"{op.pretty()} does not move left of earlier unpushed "
+                f"{earlier.op.pretty()}",
+            )
+    global_log = m.global_log
+    gcodes = global_log.codes()
+    if position + 1 < len(codes):
+        gpos_of = global_log._positions()
+        for i in range(position + 1, len(codes)):
+            c = codes[i]
+            if c & 3 != 1:
+                continue
+            gpos = gpos_of.get(entries[i].op.op_id)
+            if gpos is not None and not gcodes[gpos] & 1 and not lm(c >> 2, op_pid):
+                later = entries[i]
+                return lambda later=later: CriterionViolation(
+                    "PUSH",
+                    "i",
+                    f"already-published later operation "
+                    f"{later.op.pretty()} does not move left of "
+                    f"{op.pretty()}",
+                )
+    # criterion (ii)
+    own = thread.own_op_ids()
+    idrow = global_log.id_row()
+    for i, gc in enumerate(gcodes):
+        if gc & 1 or idrow[i] in own:
+            continue
+        if not lm(gc >> 1, op_pid):
+            other = global_log.entries[i].op
+            return lambda other=other: CriterionViolation(
+                "PUSH",
+                "ii",
+                f"uncommitted {other.pretty()} does not move right of {op.pretty()}",
+            )
+    # criterion (iii)
+    if not m.denots.allows_pid(global_log, op_pid):
+        return lambda: CriterionViolation(
+            "PUSH", "iii", f"global log does not allow {op.pretty()}"
+        )
+    return None
+
+
+def _push_effect(m: "Machine", thread: Thread, op: Op) -> Tuple:
+    flag = thread.local.entry_for(op).flag
+    new_local = thread.local.set_flag(
+        op, Pushed(saved_code=flag.saved_code, saved_stack=flag.saved_stack)
+    )
+    return (
+        thread.evolve(local=new_local),
+        m.global_log.append(op, UNCOMMITTED),
+        ("push", payload_class_id(op)),
+    )
+
+
+def _push_patch(m: "Machine", thread: Thread, op: Op) -> Tuple:
+    # op's flag row flips npshd → pshd in place.
+    lidx = thread.local.index_of(op)
+    row = pack_u32((thread.local.codes()[lidx] & ~3) | 1)
+    return None, lidx, lidx + 1, row, ("push", payload_class_id(op))
+
+
+# ---------------------------------------------------------------- UNPUSH
+
+
+def _unpush_instances(m: "Machine", thread: Thread, policy: Policy) -> Sequence[Op]:
+    return thread.local.pushed_ops()
+
+
+def _unpush_check(m: "Machine", thread: Thread, op: Op) -> CheckResult:
+    """UNPUSH: withdraw a pushed (``pshd``), still-uncommitted ``op``.
+
+    * criterion (i) [gray]: ``G2`` (everything pushed after ``op``)
+      does not depend on ``op`` — in mover form, ``op`` moves right
+      past each later entry (``op ◁ e`` for ``e ∈ G2``), as if it had
+      never been pushed.  The paper greys this out because disciplined
+      drivers can be *proved* to maintain it; the machine checks it
+      (under ``check_gray_criteria``) because Lemmas 5.10/5.12 lean on
+      it — without it an arbitrary rule player can break
+      ``I_localOrder`` by unpushing beneath its own later pushes;
+    * criterion (ii): everything pushed chronologically after ``op``
+      could still have been pushed had ``op`` not been (the global log
+      without ``op`` is still allowed).
+    """
+    entry = thread.local.entry_for(op)
+    if entry is None or not entry.is_pushed:
+        return lambda: MachineError(
+            f"UNPUSH: {op.pretty()} is not a pshd entry of thread {thread.tid}"
+        )
+    global_log = m.global_log
+    gpos_of = global_log._positions()
+    position = gpos_of.get(op.op_id)
+    if position is None:
+        return lambda: MachineError(
+            f"UNPUSH: {op.pretty()} missing from global log (I_LG broken)"
+        )
+    gcodes = global_log.codes()
+    if gcodes[position] & 1:
+        return lambda: MachineError(f"UNPUSH: {op.pretty()} is already committed")
+    if m.check_gray_criteria:
+        op_pid = payload_class_id(op)
+        lm = m.movers.left_mover_pid
+        # (a) G2 does not depend on op: op moves right past everything
+        #     pushed after it (Lemma 5.10's need).
+        for i in range(position + 1, len(gcodes)):
+            if not lm(op_pid, gcodes[i] >> 1):
+                later = global_log.entries[i]
+                return lambda later=later: CriterionViolation(
+                    "UNPUSH",
+                    "i",
+                    f"{later.op.pretty()} (pushed later) depends on "
+                    f"{op.pretty()}",
+                )
+        # (b) own later-local published operations must move left of
+        #     op — unpushing turns op ``npshd`` beneath them, the
+        #     I_localOrder pattern (Lemma 5.12's UNPUSH case).  Found
+        #     necessary by the theorem fuzzer.
+        local = thread.local
+        codes = local.codes()
+        entries = local.entries
+        local_position = local.index_of(op)
+        for i in range(local_position + 1, len(codes)):
+            c = codes[i]
+            if c & 3 != 1:
+                continue
+            later_gpos = gpos_of.get(entries[i].op.op_id)
+            if later_gpos is None or gcodes[later_gpos] & 1:
+                continue
+            if not lm(c >> 2, op_pid):
+                later_entry = entries[i]
+                return lambda later_entry=later_entry: CriterionViolation(
+                    "UNPUSH",
+                    "i",
+                    f"own published {later_entry.op.pretty()} does not "
+                    f"move left of {op.pretty()}",
+                )
+    if not m.denots.allowed_log(global_log.remove(op)):
+        return lambda: CriterionViolation(
+            "UNPUSH",
+            "ii",
+            f"later pushes are not allowed without {op.pretty()}",
+        )
+    return None
+
+
+def _unpush_effect(m: "Machine", thread: Thread, op: Op) -> Tuple:
+    flag = thread.local.entry_for(op).flag
+    new_local = thread.local.set_flag(
+        op, NotPushed(saved_code=flag.saved_code, saved_stack=flag.saved_stack)
+    )
+    return (
+        thread.evolve(local=new_local),
+        m.global_log.remove(op),
+        ("unpush", m.global_log.index_of(op)),
+    )
+
+
+def _unpush_patch(m: "Machine", thread: Thread, op: Op) -> Tuple:
+    # op's flag row flips pshd → npshd in place.
+    lidx = thread.local.index_of(op)
+    row = pack_u32(thread.local.codes()[lidx] & ~3)
+    return None, lidx, lidx + 1, row, ("unpush", m.global_log.index_of(op))
+
+
+# ------------------------------------------------------------------ PULL
+
+
+def _pull_instances(m: "Machine", thread: Thread, policy: Policy) -> List[Op]:
+    """Every global entry not in ``L`` — committed ones only under
+    ``pull_committed_only``, none once ``pull_budget`` pulls are held."""
+    _, active, committed_only, budget = policy
+    local = thread.local
+    if not active or (budget is not None and len(local.pulled_ops()) >= budget):
+        return []
+    in_local = local._positions()
+    return [
+        entry.op
+        for entry in m.global_log.entries
+        if entry.op.op_id not in in_local and (entry.is_committed or not committed_only)
+    ]
+
+
+def _pull_check(m: "Machine", thread: Thread, op: Op) -> CheckResult:
+    """PULL: import a published operation ``op`` into the local view.
+
+    * criterion (i):  ``op ∉ L`` — not pulled (or owned) already;
+    * criterion (ii): the local log allows ``op``;
+    * criterion (iii) [gray]: everything the transaction has done
+      locally moves right of ``op`` (``o ◁ op``), so the pulled effect
+      can be viewed as having preceded the transaction.
+    """
+    if op not in m.global_log:
+        return lambda: MachineError(f"PULL: {op.pretty()} not in global log")
+    local = thread.local
+    if op.op_id in local._positions():
+        return lambda: CriterionViolation(
+            "PULL", "i", f"{op.pretty()} already in local log"
+        )
+    op_pid = payload_class_id(op)
+    if not m.denots.allows_pid(local, op_pid):
+        return lambda: CriterionViolation(
+            "PULL", "ii", f"local log does not allow {op.pretty()}"
+        )
+    if m.check_gray_criteria:
+        lm = m.movers.left_mover_pid
+        codes = local.codes()
+        for i, c in enumerate(codes):
+            if c & 3 != 2 and not lm(c >> 2, op_pid):
+                own = local.entries[i].op
+                return lambda own=own: CriterionViolation(
+                    "PULL",
+                    "iii",
+                    f"own {own.pretty()} does not move right of pulled {op.pretty()}",
+                )
+    return None
+
+
+def _pull_effect(m: "Machine", thread: Thread, op: Op) -> Tuple:
+    return thread.evolve(local=thread.local.append(op, Pulled())), m.global_log, None
+
+
+def _pull_patch(m: "Machine", thread: Thread, op: Op) -> Tuple:
+    n = len(thread.local)
+    return None, n, n, pack_u32((payload_class_id(op) << 2) | 2), None
+
+
+# ---------------------------------------------------------------- UNPULL
+
+
+def _unpull_instances(m: "Machine", thread: Thread, policy: Policy) -> Sequence[Op]:
+    return thread.local.pulled_ops()
+
+
+def _unpull_check(m: "Machine", thread: Thread, op: Op) -> CheckResult:
+    """UNPULL: discard a pulled (``pld``) operation ``op``.  Criterion
+    (i): the local log without ``op`` is still allowed — the transaction
+    did nothing that depended on ``op``."""
+    local = thread.local
+    entry = local.entry_for(op)
+    if entry is None or not entry.is_pulled:
+        return lambda: MachineError(
+            f"UNPULL: {op.pretty()} is not a pld entry of thread {thread.tid}"
+        )
+    if not m.denots.allowed_log(local.remove(op)):
+        return lambda: CriterionViolation(
+            "UNPULL", "i", f"local log depends on pulled {op.pretty()}"
+        )
+    return None
+
+
+def _unpull_effect(m: "Machine", thread: Thread, op: Op) -> Tuple:
+    # ``remove`` is memoized per op: this is the node the criterion built.
+    return thread.evolve(local=thread.local.remove(op)), m.global_log, None
+
+
+def _unpull_patch(m: "Machine", thread: Thread, op: Op) -> Tuple:
+    lidx = thread.local.index_of(op)
+    return None, lidx, lidx + 1, b"", None
+
+
+# ------------------------------------------------------------------- CMT
+
+
+def _cmt_check(m: "Machine", thread: Thread, _: None) -> CheckResult:
+    """CMT: the instantaneous commit.
+
+    * criterion (i):   ``fin(c)`` — a method-free path to ``skip``;
+    * criterion (ii):  ``L ⊆ G`` — every own operation pushed
+      (``⌊L⌋_npshd = ∅``);
+    * criterion (iii): every pulled operation is committed in ``G``;
+    * criterion (iv):  ``cmt(G, L, G')`` — own pushed operations flip
+      to ``gCmt`` (the construction, always possible under I_LG).
+
+    The thread finishes as ``{skip, σ, []}`` (removable via MS_END).
+    """
+    if not fin_cached(thread.code):
+        return lambda: CriterionViolation(
+            "CMT", "i", f"no method-free path to skip in {thread.code!r}"
+        )
+    local = thread.local
+    codes = local.codes()
+    for c in codes:
+        if c & 3 == 0:
+            return lambda: CriterionViolation(
+                "CMT",
+                "ii",
+                "unpushed operations remain: "
+                + ", ".join(o.pretty() for o in local.not_pushed_ops()),
+            )
+    global_log = m.global_log
+    gpos_of = global_log._positions()
+    gcodes = global_log.codes()
+    entries = local.entries
+    for i, c in enumerate(codes):
+        if c & 3 != 2:
+            continue
+        gpos = gpos_of.get(entries[i].op.op_id)
+        if gpos is None:
+            pulled = entries[i].op
+            return lambda pulled=pulled: CriterionViolation(
+                "CMT", "iii", f"pulled {pulled.pretty()} vanished from global log"
+            )
+        if not gcodes[gpos] & 1:
+            pulled = entries[i].op
+            return lambda pulled=pulled: CriterionViolation(
+                "CMT", "iii", f"pulled {pulled.pretty()} is still uncommitted"
+            )
+    return None
+
+
+def _cmt_effect(m: "Machine", thread: Thread, _: None) -> Tuple:
+    return (
+        thread.evolve(code=SKIP, local=EMPTY_LOCAL),
+        m.global_log.commit(thread.local),
+        ("cmt",),
+    )
+
+
+def _cmt_patch(m: "Machine", thread: Thread, _: None) -> Tuple:
+    # The digest resets to {skip, σ, []}; σ is part of the configuration.
+    return code_state_id(SKIP, thread.stack), 0, len(thread.local), b"", ("cmt",)
+
+
+class Rule(NamedTuple):
+    """One row of the Figure 5 rule table (see the section comment)."""
+
+    name: str
+    #: UNAPP/UNPUSH/UNPULL: enumerated only under ``include_backward``
+    backward: bool
+    #: where an instance's argument lives, so memoized recipes can hold a
+    #: position instead of an operation: ``"local"`` / ``"global"`` for an
+    #: operation of the thread's local / the global log; ``None`` when the
+    #: argument is kept as is (APP's step choice; CMT/UNAPP take none)
+    source: Optional[str]
+    instances: Callable[["Machine", Thread, Policy], Iterable[Any]]
+    check: Callable[["Machine", Thread, Any], CheckResult]
+    effect: Callable[["Machine", Thread, Any], Tuple]
+    patch: Callable[["Machine", Thread, Any], Tuple]
+
+
+#: the Figure 5 rules, keyed by name, in the model checker's canonical
+#: emission order (forward rules first)
+RULES: Dict[str, Rule] = {
+    row.name: row
+    for row in (
+        Rule("APP", False, None, _app_instances, _app_check, _app_effect, _app_patch),
+        Rule("PUSH", False, "local", _push_instances, _push_check, _push_effect, _push_patch),
+        Rule("PULL", False, "global", _pull_instances, _pull_check, _pull_effect, _pull_patch),
+        Rule("CMT", False, None, _one_instance, _cmt_check, _cmt_effect, _cmt_patch),
+        Rule("UNAPP", True, None, _one_instance, _unapp_check, _unapp_effect, _unapp_patch),
+        Rule(
+            "UNPUSH", True, "local",
+            _unpush_instances, _unpush_check, _unpush_effect, _unpush_patch,
+        ),
+        Rule(
+            "UNPULL", True, "local",
+            _unpull_instances, _unpull_check, _unpull_effect, _unpull_patch,
+        ),
+    )
+}
+
+
 class Machine:
     """An executable PUSH/PULL machine over a sequential specification."""
 
@@ -263,9 +831,7 @@ class Machine:
         fingerprint update) instead of rebuilt from the whole state: one
         thread digest is swapped into the parent key, and the global part
         is either reused verbatim (``global_log`` identical) or patched
-        through ``owner_delta`` — ``("push", tid, payload_class_id)``
-        appends a global row code and its owner, ``("unpush", position)``
-        drops one, ``("cmt", tid)`` releases the committer's entries.
+        through the rule's ``owner_delta`` (see :func:`_patch_global`).
         """
         machine = Machine.__new__(Machine)
         state = machine.__dict__
@@ -348,7 +914,7 @@ class Machine:
     def end_key(self, tid: int) -> Tuple:
         """The MS_END successor's canonical :meth:`state_key` — the thread
         digest drops out; the global part is shared.  The thread must be
-        ``done`` (the checker guarantees it); see :meth:`unpull_key`."""
+        ``done`` (the checker guarantees it)."""
         parent_key = self.state_key()
         index = self._by_tid[tid]
         tkeys = parent_key[0]
@@ -358,889 +924,150 @@ class Machine:
             parent_key[2],
         )
 
-    def end_state(self, tid: int, skey: Tuple) -> "Machine":
-        """Construct the MS_END successor for a ``done`` thread."""
-        machine = self.end_thread(tid)
-        machine._skey = skey
-        machine._skey_src = None
-        return machine
-
-    # ------------------------------------------------------------------- APP
+    # ------------------------------------------------------ Figure 5 rules
 
     def app_choices(self, tid: int) -> FrozenSetType:
         """The ``step(c)`` choices available to APP for thread ``tid``."""
         return step(self.thread(tid).code)
 
-    @_traced_rule("APP")
-    def app(
-        self,
-        tid: int,
-        choice: Optional[Tuple[Call, Code]] = None,
-        _checked: bool = False,
-    ) -> "Machine":
-        """APP: apply a next reachable method locally.
-
-        * criterion (i):  ``(m1, c2) ∈ step(c1)`` — ``choice`` must come
-          from :meth:`app_choices` (checked);
-        * criterion (ii): ``L1`` allows ``⟨m1, σ1, σ2, id1⟩`` — the local
-          log admits the operation, whose post-stack ``σ2`` is synthesised
-          from the specification's view of ``L1``;
-        * criterion (iii): ``fresh(id1)`` — ids come from the machine's
-          generator, unique by construction.
-
-        The pre-code and pre-stack are saved in the ``npshd`` flag so UNAPP
-        can rewind.
-        """
-        thread = self.thread(tid)
-        choices = step(thread.code)
+    def app(self, tid: int, choice: Optional[Tuple[Call, Code]] = None) -> "Machine":
+        """APP (criteria on :func:`_app_check`); ``choice`` may be omitted
+        when ``step(c)`` has exactly one member."""
         if choice is None:
+            choices = step(self.thread(tid).code)
             if len(choices) != 1:
                 raise MachineError(
                     f"APP: thread {tid} has {len(choices)} step choices; pass one"
                 )
             choice = next(iter(choices))
-        if not _checked and choice not in choices:
-            raise CriterionViolation("APP", "i", f"{choice[0]!r} not in step(c)")
-        call_node, continuation = choice
-        try:
-            ret = self.denots.result_log(thread.local, call_node.method, call_node.args)
-        except SpecError as exc:
-            raise CriterionViolation("APP", "ii", str(exc))
-        op = Op(call_node.method, call_node.args, ret, self.ids.fresh())
-        if not _checked and not self.denots.allows_log(thread.local, op):
-            raise CriterionViolation("APP", "ii", f"local log does not allow {op.pretty()}")
-        flag = NotPushed(saved_code=thread.code, saved_stack=thread.stack)
-        new_thread = thread.evolve(
-            code=continuation, stack=op.ret, local=thread.local.append(op, flag)
-        )
-        return self._with(self._replace_thread(new_thread), self.global_log, changed_tid=tid)
+        return self.apply("APP", tid, choice)
 
-    def _check_app(self, thread: Thread, choice: Tuple[Call, Code]) -> bool:
-        """APP enabledness for a ``step(c)`` member, without minting an id
-        or building the successor (criteria depend only on payloads, which
-        are interned to class ids on the way in)."""
-        call_node = choice[0]
-        local = thread.local
-        denots = self.denots
-        try:
-            ret = denots.result_log(local, call_node.method, call_node.args)
-        except SpecError:
-            return False
-        return denots.allows_pid(
-            local, payload_class_of(call_node.method, call_node.args, ret)
-        )
-
-    def app_enabled(self, tid: int, choice: Optional[Tuple[Call, Code]] = None) -> bool:
-        """Whether APP has an enabled instance for ``tid`` (for ``choice``,
-        or for any choice when omitted)."""
-        thread = self.thread(tid)
-        choices = step(thread.code)
-        if choice is not None:
-            return choice in choices and self._check_app(thread, choice)
-        return any(self._check_app(thread, c) for c in choices)
-
-    def try_app(self, tid: int, choice: Tuple[Call, Code]) -> Optional["Machine"]:
-        """APP if enabled, else ``None`` — one criterion pass, no exception
-        on the disabled path.  ``choice`` must come from :meth:`app_choices`.
-
-        Like every ``try_*`` method, the untraced path constructs the
-        successor inline (same construction as the rule body) instead of
-        re-entering the traced rule wrapper."""
-        thread = self.thread(tid)
-        if not self._check_app(thread, choice):
-            return None
-        if self.tracer.enabled:
-            return self.app(tid, choice, True)
-        call_node, continuation = choice
-        ret = self.denots.result_log(thread.local, call_node.method, call_node.args)
-        op = Op(call_node.method, call_node.args, ret, self.ids.fresh())
-        flag = NotPushed(saved_code=thread.code, saved_stack=thread.stack)
-        new_thread = thread.evolve(
-            code=continuation, stack=op.ret, local=thread.local.append(op, flag)
-        )
-        return self._with(self._replace_thread(new_thread), self.global_log, changed_tid=tid)
-
-    def app_key(self, tid: int, choice: Tuple[Call, Code]) -> Optional[Tuple]:
-        """The APP successor's canonical :meth:`state_key`, or ``None`` if
-        the instance is disabled — criteria checked, no id minted, no
-        successor constructed (see :meth:`unpull_key` for the pattern)."""
-        index = self._by_tid[tid]
-        thread = self.threads[index]
-        call_node, continuation = choice
-        local = thread.local
-        denots = self.denots
-        try:
-            ret = denots.result_log(local, call_node.method, call_node.args)
-        except SpecError:
-            return None
-        pid = payload_class_of(call_node.method, call_node.args, ret)
-        if not denots.allows_pid(local, pid):
-            return None
-        parent_key = self.state_key()
-        new_tkey = (
-            pack_tid_cs(tid, code_state_id(continuation, ret))
-            + local.packed()
-            + pack_u32(pid << 2)
-        )
-        tkeys = parent_key[0]
-        return (
-            tkeys[:index] + (new_tkey,) + tkeys[index + 1 :],
-            parent_key[1],
-            parent_key[2],
-        )
-
-    def app_state(
-        self, tid: int, choice: Tuple[Call, Code], skey: Tuple
-    ) -> "Machine":
-        """Construct the APP successor for an instance :meth:`app_key`
-        deemed enabled (the operation id is minted here, so only states the
-        checker actually keeps consume ids)."""
-        thread = self.threads[self._by_tid[tid]]
-        call_node, continuation = choice
-        ret = self.denots.result_log(thread.local, call_node.method, call_node.args)
-        op = Op(call_node.method, call_node.args, ret, self.ids.fresh())
-        flag = NotPushed(saved_code=thread.code, saved_stack=thread.stack)
-        new_thread = thread.evolve(
-            code=continuation, stack=op.ret, local=thread.local.append(op, flag)
-        )
-        machine = self._with(self._replace_thread(new_thread), self.global_log)
-        machine._skey = skey
-        machine._skey_src = None
-        return machine
-
-    # ----------------------------------------------------------------- UNAPP
-
-    @_traced_rule("UNAPP")
     def unapp(self, tid: int) -> "Machine":
-        """UNAPP: rewind the last local-log entry, which must be ``npshd``;
-        restores the code and stack saved at APP time."""
+        """UNAPP (criterion on :func:`_unapp_check`)."""
+        return self.apply("UNAPP", tid)
+
+    def push(self, tid: int, op: Op) -> "Machine":
+        """PUSH (criteria on :func:`_push_check`)."""
+        return self.apply("PUSH", tid, op)
+
+    def unpush(self, tid: int, op: Op) -> "Machine":
+        """UNPUSH (criteria on :func:`_unpush_check`)."""
+        return self.apply("UNPUSH", tid, op)
+
+    def pull(self, tid: int, op: Op) -> "Machine":
+        """PULL (criteria on :func:`_pull_check`)."""
+        return self.apply("PULL", tid, op)
+
+    def unpull(self, tid: int, op: Op) -> "Machine":
+        """UNPULL (criterion on :func:`_unpull_check`)."""
+        return self.apply("UNPULL", tid, op)
+
+    def cmt(self, tid: int) -> "Machine":
+        """CMT (criteria on :func:`_cmt_check`)."""
+        return self.apply("CMT", tid)
+
+    def apply(self, rule: str, tid: int, arg: Any = None) -> "Machine":
+        """Apply one instance of Figure 5 rule ``rule`` (a :data:`RULES`
+        name) to thread ``tid``: raise what its criterion reports, else
+        return the successor.
+
+        Traced: a ``rule`` span and a ``{RULE}.check`` criterion instant
+        per application that reached its criteria, ``ok`` false on a
+        :class:`CriterionViolation`; a :class:`MachineError` (a malformed
+        instance) is no criterion outcome and leaves no trace.  With the
+        default disabled tracer the tracing costs two ``enabled`` tests."""
+        row = RULES[rule]
+        tracer = self.tracer
+        start = tracer.now() if tracer.enabled else 0.0
         thread = self.thread(tid)
-        if len(thread.local) == 0:
-            raise MachineError("UNAPP: empty local log")
-        last = thread.local[-1]
-        if not isinstance(last.flag, NotPushed):
-            raise CriterionViolation(
-                "UNAPP", "i", f"last entry {last.op.pretty()} is {last.flag!r}, not npshd"
-            )
-        new_thread = thread.evolve(
-            code=last.flag.saved_code,
-            stack=last.flag.saved_stack,
-            local=thread.local.drop_last(),
-        )
-        return self._with(self._replace_thread(new_thread), self.global_log, changed_tid=tid)
+        fail = row.check(self, thread, arg)
+        if fail is not None:
+            exc = fail()
+            if tracer.enabled and isinstance(exc, CriterionViolation):
+                _trace_rule(tracer, rule, tid, start, exc)
+            raise exc
+        successor = self._step(row, thread, arg)
+        if tracer.enabled:
+            _trace_rule(tracer, rule, tid, start)
+        return successor
 
-    def unapp_enabled(self, tid: int) -> bool:
-        local = self.thread(tid).local
-        return len(local) > 0 and local[-1].is_not_pushed
-
-    def unapp_key(self, tid: int) -> Optional[Tuple]:
-        """The UNAPP successor's canonical :meth:`state_key`, or ``None``
-        if disabled — the last flag row drops off and the saved code/stack
-        come back; no successor constructed."""
-        index = self._by_tid[tid]
-        thread = self.threads[index]
-        local = thread.local
-        if len(local) == 0:
+    def try_apply(self, rule: str, tid: int, arg: Any = None) -> Optional["Machine"]:
+        """:meth:`apply` if the instance is enabled, else ``None`` — one
+        criterion pass, no exception on the disabled path, which leaves no
+        trace."""
+        row = RULES[rule]
+        thread = self.thread(tid)
+        if row.check(self, thread, arg) is not None:
             return None
-        last = local[-1]
-        if not last.is_not_pushed:
-            return None
-        flag = last.flag
-        parent_key = self.state_key()
-        new_tkey = (
-            pack_tid_cs(tid, code_state_id(flag.saved_code, flag.saved_stack))
-            + local.packed()[:-4]
-        )
-        tkeys = parent_key[0]
-        return (
-            tkeys[:index] + (new_tkey,) + tkeys[index + 1 :],
-            parent_key[1],
-            parent_key[2],
+        tracer = self.tracer
+        if not tracer.enabled:
+            return self._step(row, thread, arg)
+        start = tracer.now()
+        successor = self._step(row, thread, arg)
+        _trace_rule(tracer, rule, tid, start)
+        return successor
+
+    def _step(self, row: Rule, thread: Thread, arg: Any) -> "Machine":
+        new_thread, global_log, owner_delta = row.effect(self, thread, arg)
+        return self._with(
+            self._replace_thread(new_thread),
+            global_log,
+            changed_tid=thread.tid,
+            owner_delta=owner_delta,
         )
 
-    def unapp_state(self, tid: int, skey: Tuple) -> "Machine":
-        """Construct the UNAPP successor for an instance :meth:`unapp_key`
-        deemed enabled."""
-        thread = self.threads[self._by_tid[tid]]
-        last = thread.local[-1]
-        new_thread = thread.evolve(
-            code=last.flag.saved_code,
-            stack=last.flag.saved_stack,
-            local=thread.local.drop_last(),
-        )
-        machine = self._with(self._replace_thread(new_thread), self.global_log)
+    def successor_state(self, rule: str, tid: int, arg: Any, skey: Tuple) -> "Machine":
+        """Construct the successor of an instance :meth:`successor_keys`
+        emitted as ``(rule, arg, skey)`` (or, for ``"END"``, of a ``done``
+        thread's MS_END with :meth:`end_key`); ``skey`` becomes its cached
+        state key.  Operation ids are minted here, so only states the
+        checker actually keeps consume ids."""
+        if rule == "END":
+            machine = self.end_thread(tid)
+        else:
+            new_thread, global_log, _ = RULES[rule].effect(self, self.thread(tid), arg)
+            machine = self._with(self._replace_thread(new_thread), global_log)
         machine._skey = skey
-        machine._skey_src = None
         return machine
 
-    # ------------------------------------------------------------------ PUSH
+    # --------------------------------------------------------- enumeration
 
-    def _check_push(self, thread: Thread, op: Op) -> CheckResult:
-        """PUSH criteria (i)–(iii) for an ``npshd`` entry ``op``.
-
-        * criterion (i):  ``op`` moves left of every ``npshd`` operation
-          preceding it in the local log (trivial when pushing in APP order,
-          as all known implementations do — §4);
-        * criterion (ii): every uncommitted global operation of *another*
-          transaction moves right of ``op`` (``u ◁ op``), so the pusher can
-          still serialize before all concurrent uncommitted transactions;
-        * criterion (iii): the global log allows ``op``.
-        """
-        local = thread.local
-        position = local.index_of(op)
-        codes = local.codes()
-        op_pid = payload_class_id(op)
-        lm = self.movers.left_mover_pid
-        entries = local.entries
-        # criterion (i) — both directions of local-order coherence:
-        # (a) op moves left of every earlier unpushed own operation
-        #     (preserves I_localOrder, Lemma 5.12);
-        # (b) every *later*-local own operation already published (pushed,
-        #     uncommitted) moves left of op — op will land after them in G
-        #     against local order, the pattern I_reorderPUSH (Lemma 5.10)
-        #     constrains.  In-order pushing never triggers (b); it bites on
-        #     re-publication after an UNPUSH (found by the theorem fuzzer).
-        for i in range(position):
-            c = codes[i]
-            if c & 3 == 0 and not lm(op_pid, c >> 2):
-                earlier = entries[i]
-                return lambda earlier=earlier: CriterionViolation(
-                    "PUSH",
-                    "i",
-                    f"{op.pretty()} does not move left of earlier unpushed "
-                    f"{earlier.op.pretty()}",
-                )
-        global_log = self.global_log
-        gcodes = global_log.codes()
-        if position + 1 < len(codes):
-            gpos_of = global_log._positions()
-            for i in range(position + 1, len(codes)):
-                c = codes[i]
-                if c & 3 != 1:
-                    continue
-                gpos = gpos_of.get(entries[i].op.op_id)
-                if gpos is not None and not gcodes[gpos] & 1 and not lm(c >> 2, op_pid):
-                    later = entries[i]
-                    return lambda later=later: CriterionViolation(
-                        "PUSH",
-                        "i",
-                        f"already-published later operation "
-                        f"{later.op.pretty()} does not move left of "
-                        f"{op.pretty()}",
-                    )
-        # criterion (ii)
-        own = thread.own_op_ids()
-        idrow = global_log.id_row()
-        for i, gc in enumerate(gcodes):
-            if gc & 1 or idrow[i] in own:
+    def rule_instances(self, tid: int, policy: Policy) -> Iterator[Tuple[str, Any]]:
+        """Candidate ``(rule, arg)`` instances for thread ``tid``, in
+        :data:`RULES` order, criteria not yet checked: ``arg`` is the step
+        choice (APP), the operation (PUSH/PULL/UNPUSH/UNPULL) or ``None``
+        (CMT/UNAPP).  ``policy`` (a :data:`Policy`) drops the backward
+        rules and restricts PULL as the model checker asks."""
+        thread = self.thread(tid)
+        for name, row in RULES.items():
+            if row.backward and not policy[0]:
                 continue
-            if not lm(gc >> 1, op_pid):
-                other = global_log.entries[i].op
-                return lambda other=other: CriterionViolation(
-                    "PUSH",
-                    "ii",
-                    f"uncommitted {other.pretty()} does not move right of {op.pretty()}",
-                )
-        # criterion (iii)
-        if not self.denots.allows_pid(global_log, op_pid):
-            return lambda: CriterionViolation(
-                "PUSH", "iii", f"global log does not allow {op.pretty()}"
-            )
-        return None
+            for arg in row.instances(self, thread, policy):
+                yield name, arg
 
-    @_traced_rule("PUSH")
-    def push(self, tid: int, op: Op, _checked: bool = False) -> "Machine":
-        """PUSH: publish a local ``npshd`` operation to the global log.
-
-        Criteria are documented on :meth:`_check_push`.
-        """
+    def any_enabled(
+        self, tid: int, rules: Iterable[str], policy: Policy = EVERY_INSTANCE
+    ) -> bool:
+        """Whether some :meth:`rule_instances` candidate's criteria hold,
+        probing ``rules`` in order and stopping at the first — check only:
+        no successor states, no exceptions, no fresh ids.  A plain loop,
+        not a filter over the generator: the ample-set probe runs it for
+        every thread of every visited state."""
         thread = self.thread(tid)
-        entry = thread.local.entry_for(op)
-        if entry is None or not isinstance(entry.flag, NotPushed):
-            raise MachineError(f"PUSH: {op.pretty()} is not an npshd entry of thread {tid}")
-        if not _checked:
-            fail = self._check_push(thread, op)
-            if fail is not None:
-                raise fail()
-        new_local = thread.local.set_flag(
-            op, Pushed(saved_code=entry.flag.saved_code, saved_stack=entry.flag.saved_stack)
-        )
-        new_thread = thread.evolve(local=new_local)
-        return self._with(
-            self._replace_thread(new_thread),
-            self.global_log.append(op, UNCOMMITTED),
-            changed_tid=tid,
-            owner_delta=("push", tid, payload_class_id(op)),
-        )
-
-    def push_enabled(self, tid: int, op: Op) -> bool:
-        thread = self.thread(tid)
-        entry = thread.local.entry_for(op)
-        if entry is None or not entry.is_not_pushed:
-            return False
-        return self._check_push(thread, op) is None
-
-    def try_push(self, tid: int, op: Op) -> Optional["Machine"]:
-        """PUSH if enabled, else ``None`` (one criterion pass)."""
-        thread = self.thread(tid)
-        entry = thread.local.entry_for(op)
-        if entry is None or not entry.is_not_pushed:
-            return None
-        if self._check_push(thread, op) is not None:
-            return None
-        if self.tracer.enabled:
-            return self.push(tid, op, True)
-        new_local = thread.local.set_flag(
-            op, Pushed(saved_code=entry.flag.saved_code, saved_stack=entry.flag.saved_stack)
-        )
-        new_thread = thread.evolve(local=new_local)
-        return self._with(
-            self._replace_thread(new_thread),
-            self.global_log.append(op, UNCOMMITTED),
-            changed_tid=tid,
-            owner_delta=("push", tid, payload_class_id(op)),
-        )
-
-    def push_key(self, tid: int, op: Op) -> Optional[Tuple]:
-        """The PUSH successor's canonical :meth:`state_key`, or ``None`` if
-        disabled — op's flag row flips npshd → pshd, its global row and
-        owner slot append; no successor constructed.  ``op`` must be an
-        ``npshd`` entry of the thread's local log (the checker iterates
-        ``not_pushed_ops()``)."""
-        index = self._by_tid[tid]
-        thread = self.threads[index]
-        if self._check_push(thread, op) is not None:
-            return None
-        parent_key = self.state_key()
-        local = thread.local
-        lidx = local.index_of(op)
-        # The thread digest: op's row flips npshd → pshd in place — an
-        # 8-byte header plus 4 bytes per row, patched at byte offset
-        # ``8 + 4·lidx`` (code and stack are untouched by PUSH, so the
-        # parent's cached bytes are reused around the patch).
-        tkey = _thread_key(thread)
-        offset = 8 + 4 * lidx
-        new_code = (local.codes()[lidx] & ~3) | 1
-        new_tkey = tkey[:offset] + pack_u32(new_code) + tkey[offset + 4 :]
-        tkeys = parent_key[0]
-        return (
-            tkeys[:index] + (new_tkey,) + tkeys[index + 1 :],
-            parent_key[1] + pack_u32(payload_class_id(op) << 1),
-            parent_key[2] + pack_i32(tid),
-        )
-
-    def push_state(self, tid: int, op: Op, skey: Tuple) -> "Machine":
-        """Construct the PUSH successor for an instance :meth:`push_key`
-        deemed enabled."""
-        thread = self.threads[self._by_tid[tid]]
-        entry = thread.local.entry_for(op)
-        new_local = thread.local.set_flag(
-            op,
-            Pushed(
-                saved_code=entry.flag.saved_code,
-                saved_stack=entry.flag.saved_stack,
-            ),
-        )
-        new_thread = thread.evolve(local=new_local)
-        machine = self._with(
-            self._replace_thread(new_thread),
-            self.global_log.append(op, UNCOMMITTED),
-        )
-        machine._skey = skey
-        machine._skey_src = None
-        return machine
-
-    # ---------------------------------------------------------------- UNPUSH
-
-    def _check_unpush(self, thread: Thread, op: Op) -> CheckResult:
-        """UNPUSH criteria for a ``pshd`` entry ``op``.
-
-        * criterion (i) [gray]: ``G2`` (everything pushed after ``op``)
-          does not depend on ``op`` — in mover form, ``op`` moves right
-          past each later entry (``op ◁ e`` for ``e ∈ G2``), as if it had
-          never been pushed.  The paper greys this out because disciplined
-          drivers can be *proved* to maintain it; the machine checks it
-          (under ``check_gray_criteria``) because Lemmas 5.10/5.12 lean on
-          it — without it an arbitrary rule player can break
-          ``I_localOrder`` by unpushing beneath its own later pushes;
-        * criterion (ii): everything pushed chronologically after ``op``
-          could still have been pushed had ``op`` not been (the global log
-          without ``op`` is still allowed).
-        """
-        global_log = self.global_log
-        gpos_of = global_log._positions()
-        position = gpos_of.get(op.op_id)
-        if position is None:
-            return lambda: MachineError(
-                f"UNPUSH: {op.pretty()} missing from global log (I_LG broken)"
-            )
-        gcodes = global_log.codes()
-        if gcodes[position] & 1:
-            return lambda: MachineError(f"UNPUSH: {op.pretty()} is already committed")
-        if self.check_gray_criteria:
-            op_pid = payload_class_id(op)
-            lm = self.movers.left_mover_pid
-            # (a) G2 does not depend on op: op moves right past everything
-            #     pushed after it (Lemma 5.10's need).
-            for i in range(position + 1, len(gcodes)):
-                if not lm(op_pid, gcodes[i] >> 1):
-                    later = global_log.entries[i]
-                    return lambda later=later: CriterionViolation(
-                        "UNPUSH",
-                        "i",
-                        f"{later.op.pretty()} (pushed later) depends on "
-                        f"{op.pretty()}",
-                    )
-            # (b) own later-local published operations must move left of
-            #     op — unpushing turns op ``npshd`` beneath them, the
-            #     I_localOrder pattern (Lemma 5.12's UNPUSH case).  Found
-            #     necessary by the theorem fuzzer.
-            local = thread.local
-            codes = local.codes()
-            entries = local.entries
-            local_position = local.index_of(op)
-            for i in range(local_position + 1, len(codes)):
-                c = codes[i]
-                if c & 3 != 1:
-                    continue
-                later_gpos = gpos_of.get(entries[i].op.op_id)
-                if later_gpos is None or gcodes[later_gpos] & 1:
-                    continue
-                if not lm(c >> 2, op_pid):
-                    later_entry = entries[i]
-                    return lambda later_entry=later_entry: CriterionViolation(
-                        "UNPUSH",
-                        "i",
-                        f"own published {later_entry.op.pretty()} does not "
-                        f"move left of {op.pretty()}",
-                    )
-        shrunk = global_log.remove(op)
-        if not self.denots.allowed_log(shrunk):
-            return lambda: CriterionViolation(
-                "UNPUSH",
-                "ii",
-                f"later pushes are not allowed without {op.pretty()}",
-            )
-        return None
-
-    @_traced_rule("UNPUSH")
-    def unpush(self, tid: int, op: Op, _checked: bool = False) -> "Machine":
-        """UNPUSH: withdraw a pushed, still-uncommitted operation.
-
-        Criteria are documented on :meth:`_check_unpush`.
-        """
-        thread = self.thread(tid)
-        entry = thread.local.entry_for(op)
-        if entry is None or not isinstance(entry.flag, Pushed):
-            raise MachineError(f"UNPUSH: {op.pretty()} is not a pshd entry of thread {tid}")
-        if not _checked:
-            fail = self._check_unpush(thread, op)
-            if fail is not None:
-                raise fail()
-        position = self.global_log.index_of(op)
-        shrunk = self.global_log.remove(op)
-        new_local = thread.local.set_flag(
-            op, NotPushed(saved_code=entry.flag.saved_code, saved_stack=entry.flag.saved_stack)
-        )
-        new_thread = thread.evolve(local=new_local)
-        return self._with(
-            self._replace_thread(new_thread),
-            shrunk,
-            changed_tid=tid,
-            owner_delta=("unpush", position),
-        )
-
-    def unpush_enabled(self, tid: int, op: Op) -> bool:
-        thread = self.thread(tid)
-        entry = thread.local.entry_for(op)
-        if entry is None or not entry.is_pushed:
-            return False
-        return self._check_unpush(thread, op) is None
-
-    def try_unpush(self, tid: int, op: Op) -> Optional["Machine"]:
-        """UNPUSH if enabled, else ``None`` (one criterion pass)."""
-        thread = self.thread(tid)
-        entry = thread.local.entry_for(op)
-        if entry is None or not entry.is_pushed:
-            return None
-        if self._check_unpush(thread, op) is not None:
-            return None
-        if self.tracer.enabled:
-            return self.unpush(tid, op, True)
-        position = self.global_log.index_of(op)
-        shrunk = self.global_log.remove(op)
-        new_local = thread.local.set_flag(
-            op, NotPushed(saved_code=entry.flag.saved_code, saved_stack=entry.flag.saved_stack)
-        )
-        new_thread = thread.evolve(local=new_local)
-        return self._with(
-            self._replace_thread(new_thread),
-            shrunk,
-            changed_tid=tid,
-            owner_delta=("unpush", position),
-        )
-
-    def unpush_key(self, tid: int, op: Op) -> Optional[Tuple]:
-        """The UNPUSH successor's canonical :meth:`state_key`, or ``None``
-        if the rule is disabled — one criterion pass plus patched cached
-        rows, no successor construction.  ``op`` must be a ``pshd`` entry
-        of the thread's local log (the checker iterates ``pushed_ops()``;
-        see :meth:`unpull_key`)."""
-        index = self._by_tid[tid]
-        thread = self.threads[index]
-        if self._check_unpush(thread, op) is not None:
-            return None
-        parent_key = self.state_key()
-        # The thread digest: op's flag row flips pshd → npshd in place.
-        local = thread.local
-        lidx = local.index_of(op)
-        tkey = _thread_key(thread)
-        offset = 8 + 4 * lidx
-        new_code = local.codes()[lidx] & ~3
-        new_tkey = tkey[:offset] + pack_u32(new_code) + tkey[offset + 4 :]
-        tkeys = parent_key[0]
-        # The global part: op's row and owner slot drop out.
-        gidx = 4 * self.global_log.index_of(op)
-        rows = parent_key[1]
-        owner_row = parent_key[2]
-        return (
-            tkeys[:index] + (new_tkey,) + tkeys[index + 1 :],
-            rows[:gidx] + rows[gidx + 4 :],
-            owner_row[:gidx] + owner_row[gidx + 4 :],
-        )
-
-    def unpush_state(self, tid: int, op: Op, skey: Tuple) -> "Machine":
-        """Construct the UNPUSH successor for an instance that
-        :meth:`unpush_key` deemed enabled; ``skey`` becomes the successor's
-        cached state key."""
-        thread = self.threads[self._by_tid[tid]]
-        entry = thread.local.entry_for(op)
-        new_local = thread.local.set_flag(
-            op,
-            NotPushed(
-                saved_code=entry.flag.saved_code,
-                saved_stack=entry.flag.saved_stack,
-            ),
-        )
-        new_thread = thread.evolve(local=new_local)
-        machine = self._with(
-            self._replace_thread(new_thread), self.global_log.remove(op),
-        )
-        machine._skey = skey
-        machine._skey_src = None
-        return machine
-
-    # ------------------------------------------------------------------ PULL
-
-    def _check_pull(self, thread: Thread, op: Op) -> CheckResult:
-        """PULL criteria for a global-log operation ``op``.
-
-        * criterion (i):  ``op ∉ L`` — not pulled (or owned) already;
-        * criterion (ii): the local log allows ``op``;
-        * criterion (iii) [gray]: everything the transaction has done
-          locally moves right of ``op`` (``o ◁ op``), so the pulled effect
-          can be viewed as having preceded the transaction.
-        """
-        local = thread.local
-        if op.op_id in local._positions():
-            return lambda: CriterionViolation(
-                "PULL", "i", f"{op.pretty()} already in local log"
-            )
-        op_pid = payload_class_id(op)
-        if not self.denots.allows_pid(local, op_pid):
-            return lambda: CriterionViolation(
-                "PULL", "ii", f"local log does not allow {op.pretty()}"
-            )
-        if self.check_gray_criteria:
-            lm = self.movers.left_mover_pid
-            codes = local.codes()
-            for i, c in enumerate(codes):
-                if c & 3 != 2 and not lm(c >> 2, op_pid):
-                    own = local.entries[i].op
-                    return lambda own=own: CriterionViolation(
-                        "PULL",
-                        "iii",
-                        f"own {own.pretty()} does not move right of pulled {op.pretty()}",
-                    )
-        return None
-
-    @_traced_rule("PULL")
-    def pull(self, tid: int, op: Op, _checked: bool = False) -> "Machine":
-        """PULL: import a published operation into the local view.
-
-        Criteria are documented on :meth:`_check_pull`.
-        """
-        thread = self.thread(tid)
-        if op not in self.global_log:
-            raise MachineError(f"PULL: {op.pretty()} not in global log")
-        if not _checked:
-            fail = self._check_pull(thread, op)
-            if fail is not None:
-                raise fail()
-        new_thread = thread.evolve(local=thread.local.append(op, Pulled()))
-        return self._with(self._replace_thread(new_thread), self.global_log, changed_tid=tid)
-
-    def pull_enabled(self, tid: int, op: Op) -> bool:
-        thread = self.thread(tid)
-        if op not in self.global_log:
-            return False
-        return self._check_pull(thread, op) is None
-
-    def try_pull(self, tid: int, op: Op) -> Optional["Machine"]:
-        """PULL if enabled, else ``None`` (one criterion pass)."""
-        thread = self.thread(tid)
-        if op not in self.global_log:
-            return None
-        if self._check_pull(thread, op) is not None:
-            return None
-        if self.tracer.enabled:
-            return self.pull(tid, op, True)
-        new_thread = thread.evolve(local=thread.local.append(op, Pulled()))
-        return self._with(self._replace_thread(new_thread), self.global_log, changed_tid=tid)
-
-    def pull_key(self, tid: int, op: Op) -> Optional[Tuple]:
-        """The PULL successor's canonical :meth:`state_key`, or ``None`` if
-        disabled — one pulled flag row appends; the global part is shared.
-        ``op`` must come from this machine's global log (as the checker's
-        iteration guarantees)."""
-        index = self._by_tid[tid]
-        thread = self.threads[index]
-        if self._check_pull(thread, op) is not None:
-            return None
-        parent_key = self.state_key()
-        new_tkey = _thread_key(thread) + pack_u32((payload_class_id(op) << 2) | 2)
-        tkeys = parent_key[0]
-        return (
-            tkeys[:index] + (new_tkey,) + tkeys[index + 1 :],
-            parent_key[1],
-            parent_key[2],
-        )
-
-    def pull_state(self, tid: int, op: Op, skey: Tuple) -> "Machine":
-        """Construct the PULL successor for an instance :meth:`pull_key`
-        deemed enabled."""
-        thread = self.threads[self._by_tid[tid]]
-        new_thread = thread.evolve(local=thread.local.append(op, Pulled()))
-        machine = self._with(self._replace_thread(new_thread), self.global_log)
-        machine._skey = skey
-        machine._skey_src = None
-        return machine
-
-    # ---------------------------------------------------------------- UNPULL
-
-    def _check_unpull(self, thread: Thread, op: Op) -> CheckResult:
-        """UNPULL criterion (i): the local log without ``op`` is still
-        allowed — the transaction did nothing that depended on ``op``."""
-        shrunk = thread.local.remove(op)
-        if not self.denots.allowed_log(shrunk):
-            return lambda: CriterionViolation(
-                "UNPULL", "i", f"local log depends on pulled {op.pretty()}"
-            )
-        return None
-
-    @_traced_rule("UNPULL")
-    def unpull(self, tid: int, op: Op, _checked: bool = False) -> "Machine":
-        """UNPULL: discard a pulled operation.
-
-        Criterion is documented on :meth:`_check_unpull`.
-        """
-        thread = self.thread(tid)
-        entry = thread.local.entry_for(op)
-        if entry is None or not isinstance(entry.flag, Pulled):
-            raise MachineError(f"UNPULL: {op.pretty()} is not a pld entry of thread {tid}")
-        if not _checked:
-            fail = self._check_unpull(thread, op)
-            if fail is not None:
-                raise fail()
-        new_thread = thread.evolve(local=thread.local.remove(op))
-        return self._with(self._replace_thread(new_thread), self.global_log, changed_tid=tid)
-
-    def unpull_enabled(self, tid: int, op: Op) -> bool:
-        thread = self.thread(tid)
-        entry = thread.local.entry_for(op)
-        if entry is None or not entry.is_pulled:
-            return False
-        return self._check_unpull(thread, op) is None
-
-    def try_unpull(self, tid: int, op: Op) -> Optional["Machine"]:
-        """UNPULL if enabled, else ``None`` (one criterion pass)."""
-        thread = self.thread(tid)
-        entry = thread.local.entry_for(op)
-        if entry is None or not entry.is_pulled:
-            return None
-        shrunk = thread.local.remove(op)
-        if not self.denots.allowed_log(shrunk):
-            return None
-        if self.tracer.enabled:
-            return self.unpull(tid, op, True)
-        new_thread = thread.evolve(local=shrunk)
-        return self._with(self._replace_thread(new_thread), self.global_log, changed_tid=tid)
-
-    def unpull_key(self, tid: int, op: Op) -> Optional[Tuple]:
-        """The UNPULL successor's canonical :meth:`state_key`, or ``None``
-        if the rule is disabled — derived from this state's key plus the
-        (memoized) shrunk log, *without constructing the successor*.
-
-        Backward moves mostly land on already-visited states, so the model
-        checker probes this first and only materialises the machine (via
-        :meth:`unpull_state`) when the key is genuinely new.  Requires this
-        machine's own key to be computed (always true for a visited state)
-        and ``op`` to be a ``pld`` entry of the thread's local log (the
-        checker iterates ``pulled_ops()``).
-        """
-        index = self._by_tid[tid]
-        thread = self.threads[index]
-        shrunk = thread.local.remove(op)
-        if not self.denots.allowed_log(shrunk):
-            return None
-        parent_key = self.state_key()
-        new_tkey = _thread_key(thread)[:8] + shrunk.packed()
-        tkeys = parent_key[0]
-        return (
-            tkeys[:index] + (new_tkey,) + tkeys[index + 1 :],
-            parent_key[1],
-            parent_key[2],
-        )
-
-    def unpull_state(self, tid: int, op: Op, skey: Tuple) -> "Machine":
-        """Construct the UNPULL successor for an instance that
-        :meth:`unpull_key` deemed enabled; ``skey`` (its return value)
-        becomes the successor's cached state key."""
-        thread = self.threads[self._by_tid[tid]]
-        new_thread = thread.evolve(local=thread.local.remove(op))
-        machine = self._with(
-            self._replace_thread(new_thread), self.global_log, changed_tid=tid
-        )
-        machine._skey = skey
-        machine._skey_src = None
-        return machine
-
-    # ------------------------------------------------------------------- CMT
-
-    def _check_cmt(self, thread: Thread) -> CheckResult:
-        """CMT criteria.
-
-        * criterion (i):   ``fin(c)`` — a method-free path to ``skip``;
-        * criterion (ii):  ``L ⊆ G`` — every own operation pushed
-          (``⌊L⌋_npshd = ∅``);
-        * criterion (iii): every pulled operation is committed in ``G``;
-        * criterion (iv):  ``cmt(G, L, G')`` — own pushed operations flip
-          to ``gCmt`` (the construction, always possible under I_LG).
-        """
-        if not fin_cached(thread.code):
-            return lambda: CriterionViolation(
-                "CMT", "i", f"no method-free path to skip in {thread.code!r}"
-            )
-        local = thread.local
-        codes = local.codes()
-        for c in codes:
-            if c & 3 == 0:
-                return lambda: CriterionViolation(
-                    "CMT",
-                    "ii",
-                    "unpushed operations remain: "
-                    + ", ".join(o.pretty() for o in local.not_pushed_ops()),
-                )
-        global_log = self.global_log
-        gpos_of = global_log._positions()
-        gcodes = global_log.codes()
-        entries = local.entries
-        for i, c in enumerate(codes):
-            if c & 3 != 2:
+        for name in rules:
+            row = RULES[name]
+            if row.backward and not policy[0]:
                 continue
-            gpos = gpos_of.get(entries[i].op.op_id)
-            if gpos is None:
-                pulled = entries[i].op
-                return lambda pulled=pulled: CriterionViolation(
-                    "CMT", "iii", f"pulled {pulled.pretty()} vanished from global log"
-                )
-            if not gcodes[gpos] & 1:
-                pulled = entries[i].op
-                return lambda pulled=pulled: CriterionViolation(
-                    "CMT", "iii", f"pulled {pulled.pretty()} is still uncommitted"
-                )
-        return None
+            check = row.check
+            for arg in row.instances(self, thread, policy):
+                if check(self, thread, arg) is None:
+                    return True
+        return False
 
-    @_traced_rule("CMT")
-    def cmt(self, tid: int, _checked: bool = False) -> "Machine":
-        """CMT: the instantaneous commit.
-
-        Criteria are documented on :meth:`_check_cmt`.  The thread finishes
-        as ``{skip, σ, []}`` (removable via MS_END).
-        """
-        thread = self.thread(tid)
-        if not _checked:
-            fail = self._check_cmt(thread)
-            if fail is not None:
-                raise fail()
-        new_global = self.global_log.commit(thread.local)
-        new_thread = thread.evolve(code=SKIP, local=EMPTY_LOCAL)
-        return self._with(
-            self._replace_thread(new_thread),
-            new_global,
-            changed_tid=tid,
-            owner_delta=("cmt", tid),
-        )
-
-    def cmt_enabled(self, tid: int) -> bool:
-        return self._check_cmt(self.thread(tid)) is None
-
-    def cmt_key(self, tid: int) -> Optional[Tuple]:
-        """The CMT successor's canonical :meth:`state_key`, or ``None`` if
-        disabled — the committer's global rows flip to committed and leave
-        the owner row, its thread digest resets to ``{skip, σ, []}``; no
-        successor constructed (see :meth:`unpull_key`)."""
-        index = self._by_tid[tid]
-        thread = self.threads[index]
-        if self._check_cmt(thread) is not None:
-            return None
-        parent_key = self.state_key()
-        new_tkey = pack_tid_cs(tid, code_state_id(SKIP, thread.stack))
-        tkeys = parent_key[0]
-        owners = unpack_owners(parent_key[2])
-        gcodes = unpack_codes(parent_key[1])
-        for i, o in enumerate(owners):
-            if o == tid:
-                gcodes[i] |= 1
-                owners[i] = -1
-        return (
-            tkeys[:index] + (new_tkey,) + tkeys[index + 1 :],
-            gcodes.tobytes(),
-            owners.tobytes(),
-        )
-
-    def cmt_state(self, tid: int, skey: Tuple) -> "Machine":
-        """Construct the CMT successor for an instance :meth:`cmt_key`
-        deemed enabled."""
-        thread = self.threads[self._by_tid[tid]]
-        new_global = self.global_log.commit(thread.local)
-        new_thread = thread.evolve(code=SKIP, local=EMPTY_LOCAL)
-        machine = self._with(self._replace_thread(new_thread), new_global)
-        machine._skey = skey
-        machine._skey_src = None
-        return machine
-
-    def try_cmt(self, tid: int) -> Optional["Machine"]:
-        """CMT if enabled, else ``None`` (one criterion pass)."""
-        thread = self.thread(tid)
-        if self._check_cmt(thread) is not None:
-            return None
-        if self.tracer.enabled:
-            return self.cmt(tid, True)
-        new_global = self.global_log.commit(thread.local)
-        new_thread = thread.evolve(code=SKIP, local=EMPTY_LOCAL)
-        return self._with(
-            self._replace_thread(new_thread),
-            new_global,
-            changed_tid=tid,
-            owner_delta=("cmt", tid),
-        )
-
-    def try_unapp(self, tid: int) -> Optional["Machine"]:
-        """UNAPP if enabled, else ``None``."""
-        if not self.unapp_enabled(tid):
-            return None
-        return self.unapp(tid)
+    def enabled_rules(self, tid: int) -> List[str]:
+        """Names of Figure 5 rules with at least one enabled instance for
+        ``tid``, in :data:`RULES` order (check only)."""
+        return [name for name in RULES if self.any_enabled(tid, (name,))]
 
     # -------------------------------------------- batched key-first expansion
 
@@ -1253,30 +1080,29 @@ class Machine:
         pull_budget: Optional[int],
     ) -> List[Tuple]:
         """Every enabled rule instance of one (unfinished) thread as a
-        ``(rule, arg, skey)`` triple, in the checker's canonical emission
-        order (APP, PUSH, PULL, CMT, UNAPP, UNPUSH, UNPULL).
+        ``(rule, arg, skey)`` triple, in :data:`RULES` order: the
+        successor's canonical :meth:`state_key`, derived from this state's
+        without constructing the successor.  Backward moves mostly land on
+        already-visited states, so the model checker probes keys first and
+        only materialises new ones (:meth:`successor_state`).
 
-        Batched, memoized form of the per-instance ``*_key`` methods.
-        Which instances are enabled — and the integer patches their keys
-        need — is a pure function of the thread's payload-level
-        configuration: its interned code-state, its packed local column,
-        the packed global column, and the local→global position map
-        (``lgmap``; the §5.3 criteria read global positions only through
-        it).  That decision vector is computed once per configuration by
-        :meth:`_successor_recipe` (which goes through the same
-        ``_check_*`` predicates as the rule methods — one implementation)
-        and memoized in ``_skmemo``; product states that revisit the
+        Which instances are enabled — and the byte patches their keys
+        need (each rule's ``patch``) — is a pure function of the thread's
+        payload-level configuration: its interned code-state, its packed
+        local column, the packed global column, and the local→global
+        position map (``lgmap``; the §5.3 criteria read global positions
+        only through it).  That recipe is computed once per configuration
+        by :meth:`_successor_recipe` through the rules' own criteria and
+        memoized in ``_skmemo``; product states that revisit the
         configuration — the overwhelmingly common case — skip every
         criterion scan and denotation lookup and only re-assemble the key
-        bytes around this state's parent key.  ``arg`` is the step choice
-        (APP), the operation (PUSH/PULL/UNPUSH/UNPULL) or ``None``
-        (CMT/UNAPP); it is what the matching ``*_state`` constructor
-        needs when the key turns out to be new.
+        bytes around this state's parent key.
         """
         index = self._by_tid[tid]
         thread = self.threads[index]
-        # The plan — (rule, arg, successor thread digest, global patch)
-        # per enabled instance — is a pure function of the thread's value
+        policy = (include_backward, pull_active, pull_committed_only, pull_budget)
+        # The plan — (rule, arg, successor thread digest, owner delta) per
+        # enabled instance — is a pure function of the thread's value
         # (tid, interned code-state, local log), the global log and the
         # policy; the logs hash by value with cached hashes, so product
         # states that revisit a configuration (the overwhelmingly common
@@ -1288,21 +1114,12 @@ class Machine:
             code_state_id(thread.code, thread.stack),
             thread.local,
             self.global_log,
-            include_backward,
-            pull_active,
-            pull_committed_only,
-            pull_budget,
+            policy,
         )
         plans = self._skplans
         plan = plans.get(pkey)
         if plan is None:
-            plan = plans[pkey] = self._successor_plan(
-                thread,
-                include_backward,
-                pull_active,
-                pull_committed_only,
-                pull_budget,
-            )
+            plan = plans[pkey] = self._successor_plan(thread, policy)
         parent_key = self.state_key()
         tkeys = parent_key[0]
         head = tkeys[:index]
@@ -1311,48 +1128,20 @@ class Machine:
         orow = parent_key[2]
         out: List[Tuple] = []
         emit = out.append
-        for rule, arg, new_tkey, gop in plan:
+        for rule, arg, new_tkey, delta in plan:
             tk = head + (new_tkey,) + tail
-            if gop is None:
+            if delta is None:
                 emit((rule, arg, (tk, grows, orow)))
-            elif gop[0] == "push":
-                emit((rule, arg, (tk, grows + gop[1], orow + gop[2])))
-            elif gop[0] == "unpush":
-                gidx = gop[1]
-                emit((
-                    rule,
-                    arg,
-                    (
-                        tk,
-                        grows[:gidx] + grows[gidx + 4 :],
-                        orow[:gidx] + orow[gidx + 4 :],
-                    ),
-                ))
-            else:  # "cmt" — release this state's owner row, live
-                owners = unpack_owners(orow)
-                gcodes = unpack_codes(grows)
-                for i, o in enumerate(owners):
-                    if o == tid:
-                        gcodes[i] |= 1
-                        owners[i] = -1
-                emit((rule, arg, (tk, gcodes.tobytes(), owners.tobytes())))
+            else:
+                # Patched against this state's live owner row.
+                emit((rule, arg, (tk,) + _patch_global(grows, orow, delta, tid)))
         return out
 
-    def _successor_plan(
-        self,
-        thread: Thread,
-        include_backward: bool,
-        pull_active: bool,
-        pull_committed_only: bool,
-        pull_budget: Optional[int],
-    ) -> Tuple[Tuple, ...]:
+    def _successor_plan(self, thread: Thread, policy: Policy) -> Tuple[Tuple, ...]:
         """Assemble one thread's emission plan from its (payload-level,
-        memoized) expansion recipe: ``(rule, arg, new_tkey, gop)`` per
-        enabled instance, where ``new_tkey`` is the successor's finished
-        thread digest and ``gop`` the global-column patch (``None`` for
-        rules that leave ``G`` alone, an appended/dropped row for
-        PUSH/UNPUSH, a marker for CMT whose owner flip must read the live
-        owner row)."""
+        memoized) expansion recipe: ``(rule, arg, new_tkey, owner_delta)``
+        per enabled instance, ``new_tkey`` being the successor's finished
+        thread digest."""
         local = thread.local
         global_log = self.global_log
         entries = local.entries
@@ -1361,10 +1150,7 @@ class Machine:
             gpos_of.get(e.op.op_id, -1) for e in entries
         )
         memo_key = (
-            include_backward,
-            pull_active,
-            pull_committed_only,
-            pull_budget,
+            policy,
             code_state_id(thread.code, thread.stack),
             local.packed(),
             global_log.packed(),
@@ -1373,92 +1159,34 @@ class Machine:
         memo = self._skmemo
         recipe = memo.get(memo_key)
         if recipe is None:
-            recipe = memo[memo_key] = self._successor_recipe(
-                thread,
-                include_backward,
-                pull_active,
-                pull_committed_only,
-                pull_budget,
-            )
+            recipe = memo[memo_key] = self._successor_recipe(thread, policy)
         tid = thread.tid
-        tkey = _thread_key(thread)
+        header = _thread_key(thread)[:8]
         lpk = local.packed()
         gentries = global_log.entries
-        tid_row = pack_i32(tid)
         out: List[Tuple] = []
         emit = out.append
-        for ins in recipe:
-            rule = ins[0]
-            if rule == "UNPULL":
-                offset = 8 + 4 * ins[1]
-                emit((
-                    rule,
-                    entries[ins[1]].op,
-                    tkey[:offset] + tkey[offset + 4 :],
-                    None,
-                ))
-            elif rule == "UNPUSH":
-                offset = 8 + 4 * ins[1]
-                emit((
-                    rule,
-                    entries[ins[1]].op,
-                    tkey[:offset] + ins[3] + tkey[offset + 4 :],
-                    ("unpush", 4 * ins[2]),
-                ))
-            elif rule == "PUSH":
-                offset = 8 + 4 * ins[1]
-                emit((
-                    rule,
-                    entries[ins[1]].op,
-                    tkey[:offset] + ins[2] + tkey[offset + 4 :],
-                    ("push", ins[3], tid_row),
-                ))
-            elif rule == "APP":
-                emit((
-                    rule,
-                    ins[1],
-                    pack_tid_cs(tid, ins[2]) + lpk + ins[3],
-                    None,
-                ))
-            elif rule == "PULL":
-                emit((
-                    rule,
-                    gentries[ins[1]].op,
-                    tkey + ins[2],
-                    None,
-                ))
-            elif rule == "CMT":
-                emit((
-                    rule,
-                    None,
-                    pack_tid_cs(tid, code_state_id(SKIP, thread.stack)),
-                    ("cmt",),
-                ))
-            else:  # UNAPP — the saved continuation comes off the live flag
+        for rule, loc, cs, start, stop, rows, delta in recipe:
+            source = RULES[rule].source
+            if source is None:
+                arg = loc
+            else:
+                arg = (entries if source == "local" else gentries)[loc].op
+            if cs is None:
+                head = header
+            elif cs is _SAVED_CONTINUATION:
                 flag = entries[-1].flag
-                emit((
-                    rule,
-                    None,
-                    pack_tid_cs(
-                        tid, code_state_id(flag.saved_code, flag.saved_stack)
-                    )
-                    + lpk[:-4],
-                    None,
-                ))
+                head = pack_tid_cs(tid, code_state_id(flag.saved_code, flag.saved_stack))
+            else:
+                head = pack_tid_cs(tid, cs)
+            emit((rule, arg, head + lpk[: 4 * start] + rows + lpk[4 * stop :], delta))
         return tuple(out)
 
-    def _successor_recipe(
-        self,
-        thread: Thread,
-        include_backward: bool,
-        pull_active: bool,
-        pull_committed_only: bool,
-        pull_budget: Optional[int],
-    ) -> Tuple[Tuple, ...]:
+    def _successor_recipe(self, thread: Thread, policy: Policy) -> Tuple[Tuple, ...]:
         """The tid-independent expansion recipe of one thread
-        configuration (see :meth:`successor_keys`): which rule instances
-        are enabled, as instruction tuples carrying only interned codes,
-        log positions and pre-packed byte patches.
+        configuration (see :meth:`successor_keys`): each enabled instance
+        as ``(rule, position, *patch)``, carrying only interned codes, log
+        positions and pre-packed byte patches.
 
         Everything recorded here is a pure function of the memo key —
         criterion decisions go through the payload-interned oracles
@@ -1467,99 +1195,20 @@ class Machine:
         keys the unmemoized derivation would have produced.  Data that is
         *not* key-determined (operation identities, saved continuations,
         this state's owner row) never enters the recipe; the assembly
-        loop reads it from the live state.
+        reads it from the live state.
         """
-        local = thread.local
-        denots = self.denots
         out: List[Tuple] = []
-        emit = out.append
-        # APP — every step choice.
-        result_log = denots.result_log
-        allows_pid = denots.allows_pid
-        for choice in sorted_choices(thread.code):
-            call_node, continuation = choice
-            try:
-                ret = result_log(local, call_node.method, call_node.args)
-            except SpecError:
+        for rule, arg in self.rule_instances(thread.tid, policy):
+            row = RULES[rule]
+            if row.check(self, thread, arg) is not None:
                 continue
-            pid = payload_class_of(call_node.method, call_node.args, ret)
-            if not allows_pid(local, pid):
-                continue
-            emit((
-                "APP",
-                choice,
-                code_state_id(continuation, ret),
-                pack_u32(pid << 2),
-            ))
-        # PUSH — every npshd entry.
-        npshd = local.not_pushed_ops()
-        if npshd:
-            check_push = self._check_push
-            index_of = local.index_of
-            codes = local.codes()
-            for op in npshd:
-                if check_push(thread, op) is not None:
-                    continue
-                lidx = index_of(op)
-                emit((
-                    "PUSH",
-                    lidx,
-                    pack_u32((codes[lidx] & ~3) | 1),
-                    pack_u32(payload_class_id(op) << 1),
-                ))
-        # PULL — every global entry not in L (per policy and budget).
-        if pull_active and (
-            pull_budget is None or len(local.pulled_ops()) < pull_budget
-        ):
-            check_pull = self._check_pull
-            in_local = local._positions()
-            for gidx, g_entry in enumerate(self.global_log.entries):
-                op = g_entry.op
-                if op.op_id in in_local:
-                    continue
-                if pull_committed_only and not g_entry.is_committed:
-                    continue
-                if check_pull(thread, op) is not None:
-                    continue
-                emit((
-                    "PULL",
-                    gidx,
-                    pack_u32((payload_class_id(op) << 2) | 2),
-                ))
-        # CMT.
-        if self._check_cmt(thread) is None:
-            emit(("CMT",))
-        if include_backward:
-            codes = local.codes()
-            # UNAPP (last entry only, by the rule's shape).
-            if codes and codes[-1] & 3 == 0:
-                emit(("UNAPP",))
-            # UNPUSH — every pshd entry.
-            pshd = local.pushed_ops()
-            if pshd:
-                check_unpush = self._check_unpush
-                index_of = local.index_of
-                gpos_of = self.global_log._positions()
-                for op in pshd:
-                    if check_unpush(thread, op) is not None:
-                        continue
-                    lidx = index_of(op)
-                    emit((
-                        "UNPUSH",
-                        lidx,
-                        gpos_of[op.op_id],
-                        pack_u32(codes[lidx] & ~3),
-                    ))
-            # UNPULL — every pld entry.
-            pld = local.pulled_ops()
-            if pld:
-                allowed_log = denots.allowed_log
-                remove = local.remove
-                index_of = local.index_of
-                for op in pld:
-                    if not allowed_log(remove(op)):
-                        continue
-                    emit(("UNPULL", index_of(op)))
+            if row.source == "local":
+                loc = thread.local.index_of(arg)
+            elif row.source == "global":
+                loc = self.global_log.index_of(arg)
+            else:
+                loc = arg
+            out.append((rule, loc) + row.patch(self, thread, arg))
         return tuple(out)
 
     # ------------------------------------------------- structural rules (Fig 6)
@@ -1596,95 +1245,6 @@ class Machine:
         "END": "structural",  # removes the thread; reads only L
     }
 
-    def nonlocal_move_enabled(
-        self,
-        tid: int,
-        pull_allowed: bool = True,
-        pull_committed_only: bool = False,
-        pull_budget: Optional[int] = None,
-        include_backward: bool = True,
-    ) -> bool:
-        """Whether thread ``tid`` has any enabled rule instance that reads
-        or writes the global log (PUSH/PULL/CMT, and the backward
-        UNPUSH/UNPULL when ``include_backward``).
-
-        This is the ample-set eligibility probe: a thread whose enabled
-        instances are *all* APP/UNAPP touches nothing another thread can
-        observe (see :data:`RULE_FOOTPRINT`), so the checker may explore
-        only that thread's moves at the current state.  UNPULL writes only
-        the local log, but it is grouped with the global moves here: its
-        *successor* changes which PULLs are within budget, and deferring a
-        thread's own non-APP moves is exactly what the reduction must not
-        do (an ample set contains every enabled move of its thread).
-
-        Check-only (shares the rules' ``_check_*`` halves): no successor
-        states, no exceptions, no fresh ids.  The ``pull_*`` parameters
-        mirror the model checker's PULL enumeration policy so eligibility
-        agrees exactly with what :func:`~repro.checking.model_checker.explore`
-        would expand.
-        """
-        thread = self.thread(tid)
-        entries = thread.local.entries
-        # PUSH — any npshd entry whose criteria pass.
-        for entry in entries:
-            if entry.is_not_pushed and self._check_push(thread, entry.op) is None:
-                return True
-        # CMT.
-        if self._check_cmt(thread) is None:
-            return True
-        if include_backward:
-            # UNPUSH / UNPULL.
-            for entry in entries:
-                if entry.is_pushed and self._check_unpush(thread, entry.op) is None:
-                    return True
-                if entry.is_pulled and self._check_unpull(thread, entry.op) is None:
-                    return True
-        # PULL — most expensive probe, checked last.
-        if pull_allowed and (
-            pull_budget is None or len(thread.local.pulled_ops()) < pull_budget
-        ):
-            local = thread.local
-            for g_entry in self.global_log:
-                if g_entry.op in local:
-                    continue
-                if pull_committed_only and not g_entry.is_committed:
-                    continue
-                if self._check_pull(thread, g_entry.op) is None:
-                    return True
-        return False
-
-    def enabled_rules(self, tid: int) -> List[str]:
-        """Names of Figure 5 rules with at least one enabled instance for
-        ``tid`` (used by the model checker and by tests).
-
-        Runs only the check half of each rule: no successor states, no
-        exception allocation, no fresh ids."""
-        enabled: List[str] = []
-        thread = self.thread(tid)
-        choices = step(thread.code)
-        if choices and any(self._check_app(thread, c) for c in choices):
-            enabled.append("APP")
-        entries = thread.local.entries
-        if entries and entries[-1].is_not_pushed:
-            enabled.append("UNAPP")
-        if any(
-            e.is_not_pushed and self._check_push(thread, e.op) is None for e in entries
-        ):
-            enabled.append("PUSH")
-        if any(
-            e.is_pushed and self._check_unpush(thread, e.op) is None for e in entries
-        ):
-            enabled.append("UNPUSH")
-        if any(self._check_pull(thread, e.op) is None for e in self.global_log):
-            enabled.append("PULL")
-        if any(
-            e.is_pulled and self._check_unpull(thread, e.op) is None for e in entries
-        ):
-            enabled.append("UNPULL")
-        if self._check_cmt(thread) is None:
-            enabled.append("CMT")
-        return enabled
-
     def state_key(self) -> Tuple:
         """A hashable digest of the machine state (payload-level via the
         intern tables, so model checker visits are independent of id
@@ -1704,39 +1264,19 @@ class Machine:
         if src is not None:
             # Incremental path: one thread changed; the global part of the
             # key is reused (local-only rule) or patched (owner_delta).
-            parent_key, index, odelta = src
+            parent_key, index, delta = src
+            thread = self.threads[index]
             parent_tkeys = parent_key[0]
             thread_keys = (
                 parent_tkeys[:index]
-                + (_thread_key(self.threads[index]),)
+                + (_thread_key(thread),)
                 + parent_tkeys[index + 1 :]
             )
-            if odelta is None:
-                rows, owner_row = parent_key[1], parent_key[2]
+            if delta is None:
+                global_part = parent_key[1:]
             else:
-                kind = odelta[0]
-                if kind == "push":
-                    # One entry appended to G, owned by the pusher.
-                    rows = parent_key[1] + pack_u32(odelta[2] << 1)
-                    owner_row = parent_key[2] + pack_i32(odelta[1])
-                elif kind == "unpush":
-                    # The entry at global byte position ``4·arg`` withdrawn.
-                    at = 4 * odelta[1]
-                    rows = parent_key[1][:at] + parent_key[1][at + 4 :]
-                    owner_row = parent_key[2][:at] + parent_key[2][at + 4 :]
-                else:  # "cmt"
-                    # The committer's entries flip to committed and stop
-                    # being owned (its local log empties).
-                    arg = odelta[1]
-                    gcodes = unpack_codes(parent_key[1])
-                    owners = unpack_owners(parent_key[2])
-                    for i, o in enumerate(owners):
-                        if o == arg:
-                            gcodes[i] |= 1
-                            owners[i] = -1
-                    rows = gcodes.tobytes()
-                    owner_row = owners.tobytes()
-            key = self._skey = (thread_keys, rows, owner_row)
+                global_part = _patch_global(parent_key[1], parent_key[2], delta, thread.tid)
+            key = self._skey = (thread_keys,) + global_part
             self._skey_src = None
             return key
         owners: Dict[int, int] = {}
@@ -1764,14 +1304,6 @@ class Machine:
         than recomputed from the full state.
         """
         return hash(self.state_key())
-
-
-def _owner_of(machine: Machine, op: Op) -> int:
-    for t in machine.threads:
-        entry = t.local.entry_for(op)
-        if entry is not None and entry.is_own:
-            return t.tid
-    return -1
 
 
 def _structural_code_steps(code: Code) -> Iterator[Tuple[str, Code]]:

@@ -5,9 +5,10 @@ Coverage here is *semantic*, not line-based: a point of coverage is one
 under criterion (iii)" is a different point from "TL2 had PUSH succeed" —
 plus the structured abort kinds (``(strategy, "abort", kind)``) and fired
 fault kinds (``(strategy, "fault", kind)``).  The raw signal is the
-tracer's existing event stream: the machine's ``_traced_rule`` decorator
-already emits a ``criterion``-category ``{RULE}.check`` instant for every
-rule application, pass or violation, and the stepper emits ``tx.abort``
+tracer's existing event stream: the machine's traced rule application
+(:meth:`~repro.core.machine.Machine.apply`) already emits a
+``criterion``-category ``{RULE}.check`` instant for every rule
+application, pass or violation, and the stepper emits ``tx.abort``
 instants carrying the structured :class:`~repro.core.errors.AbortKind`.
 The fuzzer adds **no** instrumentation of its own — it reads the map the
 observability layer has provided since PR 1.

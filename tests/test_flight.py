@@ -11,17 +11,21 @@ never reads a clock) and counter-flush timing.
 
 import json
 import os
+from collections import Counter
 
 import pytest
 
 from repro.checking import explore
 from repro.checking.model_checker import ExploreOptions
+from repro.cli import SCOPES
+from repro.core import Machine
+from repro.core.errors import CriterionViolation, MachineError
 from repro.core.language import call, tx
 from repro.faults.conformance import run_chaos
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.obs import NULL_TRACER, RecordingTracer, read_jsonl
 from repro.obs.flight import FlightRecorder, maybe_dump, tail_signature
-from repro.obs.tracer import CAT_RULE, CAT_RUNTIME
+from repro.obs.tracer import CAT_CRITERION, CAT_RULE, CAT_RUNTIME
 from repro.runtime import WorkloadConfig, make_workload
 from repro.specs import CounterSpec, MemorySpec
 from repro.tm.broken import BrokenCrashTM
@@ -218,6 +222,61 @@ class TestModelcheckReplayMatch:
         assert report.ok
         assert report.flight_dump is None
         assert list(tmp_path.iterdir()) == []
+
+
+def rule_contract(events):
+    """The rule-event stream's shape: ``rule`` spans counted by
+    ``(name, ok)`` and criterion instants by ``(name, criterion)``."""
+    spans = Counter((e.name, e.args["ok"]) for e in events if e.cat == CAT_RULE)
+    checks = Counter(
+        (e.name, e.args.get("criterion")) for e in events if e.cat == CAT_CRITERION
+    )
+    return dict(spans), dict(checks)
+
+
+class TestRuleEventContract:
+    """The traced rule events that fuzz coverage and flight dumps consume:
+    one ``rule`` span plus one ``{RULE}.check`` instant per application
+    that reached its criteria — none for a disabled instance the checker
+    probed, none for a malformed instance (:class:`MachineError`)."""
+
+    COUNTER_SCOPE = {"APP": 265, "PUSH": 235, "PULL": 89, "CMT": 34,
+                     "UNAPP": 234, "UNPUSH": 248, "UNPULL": 574}
+    GRAY_OFF = {"APP": 3, "PUSH": 3, "CMT": 1, "UNAPP": 3, "UNPUSH": 5}
+
+    @staticmethod
+    def expected(per_rule):
+        return (
+            {(rule, True): n for rule, n in per_rule.items()},
+            {(f"{rule}.check", None): n for rule, n in per_rule.items()},
+        )
+
+    def test_counter_scope_explore(self):
+        spec_cls, programs = SCOPES["counter"]
+        recording = RecordingTracer()
+        explore(spec_cls(), programs, ExploreOptions(tracer=recording, trace_rules=True))
+        assert rule_contract(recording.events) == self.expected(self.COUNTER_SCOPE)
+
+    def test_gray_criteria_off_explore(self):
+        recording = RecordingTracer()
+        explore(
+            CounterSpec(), GRAY_OFF_PROGRAMS,
+            ExploreOptions(tracer=recording, trace_rules=True, check_gray_criteria=False),
+        )
+        assert rule_contract(recording.events) == self.expected(self.GRAY_OFF)
+
+    def test_violation_and_malformed_instance(self):
+        recording = RecordingTracer()
+        machine, tid = Machine(CounterSpec(), tracer=recording).spawn(tx(call("inc")))
+        machine = machine.app(tid)
+        with pytest.raises(CriterionViolation):
+            machine.cmt(tid)  # criterion (ii): an unpushed operation remains
+        with pytest.raises(MachineError):
+            machine.unpull(tid, machine.thread(tid).local[0].op)  # not a pld entry
+        assert machine.try_apply("UNPULL", tid, machine.thread(tid).local[0].op) is None
+        spans, checks = rule_contract(recording.events)
+        assert spans == {("APP", True): 1, ("CMT", False): 1}
+        assert checks == {("APP.check", None): 1, ("CMT.check", "ii"): 1}
 
 
 class TestSignature:

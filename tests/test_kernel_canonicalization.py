@@ -1,13 +1,14 @@
 """Canonical-state fingerprints: property tests for the incremental kernel.
 
 The model checker's key-first successor path derives a successor's
-canonical key (``Machine.app_key`` … ``end_key``) from the parent's
-cached digest *without constructing the successor*.  Everything the
-checker concludes rests on two laws, pinned here:
+canonical key (``Machine.successor_keys``, and ``end_key`` for MS_END)
+from the parent's cached digest *without constructing the successor*.
+Everything the checker concludes rests on two laws, pinned here:
 
-* **soundness** — along every reachable path, a derived key equals the
-  full from-scratch digest of the successor actually constructed
-  (whether via the paired ``*_state`` or the classic ``try_*`` route);
+* **soundness** — along every reachable path, under every PULL policy
+  the checker uses, with and without backward rules, a derived key
+  equals the full from-scratch digest of the successor actually
+  constructed (whether via ``successor_state`` or ``try_apply``);
 * **canonicality** — states that differ only in operation-id allocation
   collide on ``state_key``/``fingerprint``, while states that differ in
   push/pull *flags* or in global-log *order* do not.
@@ -15,9 +16,24 @@ checker concludes rests on two laws, pinned here:
 
 from hypothesis import given, settings, strategies as st
 
-from repro.checking.model_checker import _sorted_choices
 from repro.core import Machine, call, tx
 from repro.specs import CounterSpec, MemorySpec
+
+#: ``successor_keys`` policies, as ``(include_backward, pull_active,
+#: pull_committed_only, pull_budget)``: PULL off, committed-only, and
+#: unrestricted under a budget — each with and without backward rules.
+POLICIES = [
+    (backward, active, committed_only, budget)
+    for backward in (True, False)
+    for active, committed_only, budget in (
+        (False, False, None),
+        (True, True, None),
+        (True, False, 1),
+    )
+]
+
+#: every instance: the checker's default enumeration
+EVERY = (True, True, False, None)
 
 
 def full_key(machine):
@@ -28,70 +44,25 @@ def full_key(machine):
     return machine.state_key()
 
 
-def enabled_moves(machine):
+def enabled_moves(machine, policy=EVERY):
     """Every key-first rule instance enabled in ``machine``, as
-    ``(rule, args, derived_key)`` — mirrors the checker's enumeration."""
+    ``(rule, tid, arg, derived_key)`` — the checker's own enumeration."""
     moves = []
     for thread in machine.threads:
         tid = thread.tid
         if thread.done:
-            moves.append(("END", (tid,), machine.end_key(tid)))
+            moves.append(("END", tid, None, machine.end_key(tid)))
             continue
-        local = thread.local
-        for choice in _sorted_choices(thread.code):
-            skey = machine.app_key(tid, choice)
-            if skey is not None:
-                moves.append(("APP", (tid, choice), skey))
-        for op in local.not_pushed_ops():
-            skey = machine.push_key(tid, op)
-            if skey is not None:
-                moves.append(("PUSH", (tid, op), skey))
-        for entry in machine.global_log:
-            if entry.op in local:
-                continue
-            skey = machine.pull_key(tid, entry.op)
-            if skey is not None:
-                moves.append(("PULL", (tid, entry.op), skey))
-        skey = machine.cmt_key(tid)
-        if skey is not None:
-            moves.append(("CMT", (tid,), skey))
-        skey = machine.unapp_key(tid)
-        if skey is not None:
-            moves.append(("UNAPP", (tid,), skey))
-        for op in local.pushed_ops():
-            skey = machine.unpush_key(tid, op)
-            if skey is not None:
-                moves.append(("UNPUSH", (tid, op), skey))
-        for op in local.pulled_ops():
-            skey = machine.unpull_key(tid, op)
-            if skey is not None:
-                moves.append(("UNPULL", (tid, op), skey))
+        for rule, arg, skey in machine.successor_keys(tid, *policy):
+            moves.append((rule, tid, arg, skey))
     return moves
 
 
-#: Key-first constructors, by rule.
-STATE = {
-    "APP": lambda m, a, k: m.app_state(a[0], a[1], k),
-    "PUSH": lambda m, a, k: m.push_state(a[0], a[1], k),
-    "PULL": lambda m, a, k: m.pull_state(a[0], a[1], k),
-    "CMT": lambda m, a, k: m.cmt_state(a[0], k),
-    "UNAPP": lambda m, a, k: m.unapp_state(a[0], k),
-    "UNPUSH": lambda m, a, k: m.unpush_state(a[0], a[1], k),
-    "UNPULL": lambda m, a, k: m.unpull_state(a[0], a[1], k),
-    "END": lambda m, a, k: m.end_state(a[0], k),
-}
-
-#: Classic check-then-construct constructors, by rule.
-TRY = {
-    "APP": lambda m, a: m.try_app(a[0], a[1]),
-    "PUSH": lambda m, a: m.try_push(a[0], a[1]),
-    "PULL": lambda m, a: m.try_pull(a[0], a[1]),
-    "CMT": lambda m, a: m.try_cmt(a[0]),
-    "UNAPP": lambda m, a: m.try_unapp(a[0]),
-    "UNPUSH": lambda m, a: m.try_unpush(a[0], a[1]),
-    "UNPULL": lambda m, a: m.try_unpull(a[0], a[1]),
-    "END": lambda m, a: m.end_thread(a[0]),
-}
+def construct(machine, rule, tid, arg):
+    """The successor built the classic check-then-construct way."""
+    if rule == "END":
+        return machine.end_thread(tid)
+    return machine.try_apply(rule, tid, arg)
 
 
 def _memory_call(draw_tuple):
@@ -120,25 +91,23 @@ def _spawn_all(programs):
 
 
 @settings(max_examples=40, deadline=None)
-@given(programs=_programs, data=st.data())
-def test_derived_keys_match_constructed_successors(programs, data):
+@given(programs=_programs, policy=st.sampled_from(POLICIES), data=st.data())
+def test_derived_keys_match_constructed_successors(programs, policy, data):
     """Soundness along random walks: every enabled rule instance's derived
     key equals the from-scratch digest of the successor built both ways."""
     machine = _spawn_all(programs)
     for _ in range(8):
-        moves = enabled_moves(machine)
+        moves = enabled_moves(machine, policy)
         if not moves:
             break
-        for rule, rule_args, skey in moves:
-            via_state = STATE[rule](machine, rule_args, skey)
+        for rule, tid, arg, skey in moves:
+            via_state = machine.successor_state(rule, tid, arg, skey)
             assert full_key(via_state) == skey, rule
-            via_try = TRY[rule](machine, rule_args)
+            via_try = construct(machine, rule, tid, arg)
             assert via_try is not None, rule
             assert full_key(via_try) == skey, rule
-        rule, rule_args, skey = data.draw(
-            st.sampled_from(moves), label="next move"
-        )
-        machine = STATE[rule](machine, rule_args, skey)
+        rule, tid, arg, skey = data.draw(st.sampled_from(moves), label="next move")
+        machine = machine.successor_state(rule, tid, arg, skey)
 
 
 @settings(max_examples=40, deadline=None)
@@ -162,14 +131,12 @@ def test_id_allocation_is_invisible(programs, burn):
         moves1 = enabled_moves(m1)
         if not moves1:
             break
-        rule, args1, skey1 = moves1[0]
-        tid = args1[0]
-        _, args2, skey2 = next(
-            mv for mv in enabled_moves(m2)
-            if mv[0] == rule and mv[1][0] == tid
+        rule, tid, arg1, skey1 = moves1[0]
+        _, _, arg2, skey2 = next(
+            mv for mv in enabled_moves(m2) if mv[:2] == (rule, tid)
         )
-        m1 = STATE[rule](m1, args1, skey1)
-        m2 = STATE[rule](m2, args2, skey2)
+        m1 = m1.successor_state(rule, tid, arg1, skey1)
+        m2 = m2.successor_state(rule, tid, arg2, skey2)
         assert full_key(m1) == full_key(m2)
         assert m1.fingerprint() == m2.fingerprint()
 

@@ -18,7 +18,9 @@ Its contract with the PR-2 object-level kernel, pinned here:
 from hypothesis import given, settings, strategies as st
 
 from repro.checking.packedcheck import initial_node, walk_identity
+from repro.checking.reduction import Reducer
 from repro.core import Machine, call, tx
+from repro.core.errors import CriterionViolation, MachineError
 from repro.core.packed import (
     decode_state_key,
     encode_state_key,
@@ -83,13 +85,9 @@ def test_packed_key_decodes_to_reference_along_walks(name, seed):
     assert stats["mismatches"] == [], stats
 
 
-@settings(max_examples=16, deadline=None)
-@given(
-    name=st.sampled_from(sorted(SPEC_PROGRAMS)),
-    seed=st.integers(min_value=0, max_value=2**16),
-)
-def test_packed_key_round_trips(name, seed):
-    """``encode_state_key`` inverts ``decode_state_key`` on reachable keys."""
+def _walk(name, seed, steps=12):
+    """The nodes of one seeded random walk through the checker's own
+    key-first expansion (every successor constructed)."""
     import random
 
     from repro.checking.model_checker import ExploreOptions, _successors
@@ -97,15 +95,87 @@ def test_packed_key_round_trips(name, seed):
     rng = random.Random(seed)
     node = initial_node(get_spec(name), SPEC_PROGRAMS[name])
     options = ExploreOptions(max_pulled_per_thread=4)
-    for _ in range(12):
-        key = node.machine.state_key()
-        assert encode_state_key(decode_state_key(key)) == key
+    for _ in range(steps):
+        yield node
         moves = [
             s for _, _, s in _successors(node, options, seen=set()) if s
         ]
         if not moves:
-            break
+            return
         node = moves[rng.randrange(len(moves))]
+
+
+@settings(max_examples=16, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SPEC_PROGRAMS)),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_packed_key_round_trips(name, seed):
+    """``encode_state_key`` inverts ``decode_state_key`` on reachable keys."""
+    for node in _walk(name, seed):
+        key = node.machine.state_key()
+        assert encode_state_key(decode_state_key(key)) == key
+
+
+def _every_instance(machine, tid):
+    """Every ``(rule, arg)`` a caller could name for ``tid``, enabled or
+    not — built from the state itself, not from the rule table."""
+    thread = machine.thread(tid)
+    yield from (("APP", choice) for choice in machine.app_choices(tid))
+    for entry in thread.local:
+        for rule in ("PUSH", "UNPUSH", "UNPULL"):
+            yield rule, entry.op
+    yield from (("PULL", entry.op) for entry in machine.global_log)
+    yield "CMT", None
+    yield "UNAPP", None
+
+
+def _public_rule_succeeds(machine, rule, tid, arg):
+    method = getattr(machine, rule.lower())
+    try:
+        method(tid) if arg is None else method(tid, arg)
+    except (CriterionViolation, MachineError):
+        return False
+    return True
+
+
+@settings(max_examples=16, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SPEC_PROGRAMS)),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_rule_enumerations_agree_along_walks(name, seed):
+    """At every visited state, every way of asking "which rule instances
+    are enabled?" gives one answer: the key-first ``successor_keys``, the
+    check-then-construct ``try_apply``, the public rule methods,
+    ``enabled_rules`` and the ample-set eligibility of ``ample_tid``."""
+    reducer = Reducer(get_spec(name))
+    for node in _walk(name, seed):
+        machine = node.machine
+        eligible = None
+        for thread in machine.threads:
+            if thread.done:
+                continue
+            tid = thread.tid
+            derived = {
+                (rule, arg) for rule, arg, _ in
+                machine.successor_keys(tid, True, True, False, None)
+            }
+            candidates = list(_every_instance(machine, tid))
+            via_try = {
+                (rule, arg) for rule, arg in candidates
+                if machine.try_apply(rule, tid, arg) is not None
+            }
+            via_public = {
+                (rule, arg) for rule, arg in candidates
+                if _public_rule_succeeds(machine, rule, tid, arg)
+            }
+            assert derived == via_try == via_public
+            names = {rule for rule, _ in derived}
+            assert set(machine.enabled_rules(tid)) == names
+            if eligible is None and "APP" in names and names <= {"APP", "UNAPP"}:
+                eligible = tid
+        assert reducer.ample_tid(machine, True, False, None) == eligible
 
 
 def _spawn(spec, programs):
