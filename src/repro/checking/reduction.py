@@ -57,7 +57,10 @@ from repro.core.ops import Op
 from repro.core.packed import (
     decode_global_rows,
     decode_thread_key,
-    encode_node_key,
+    encode_global_rows,
+    encode_thread_key,
+    pack_i32,
+    pack_owners,
     unpack_owners,
 )
 from repro.core.precongruence import trace_normal_form
@@ -91,6 +94,18 @@ def _symmetry_perms(programs: Sequence[Tuple[int, Code]]) -> List[Dict[int, int]
     return [p for p in perms if any(k != v for k, v in p.items())]
 
 
+def _candidate_rank(thread_reprs: List[str], global_repr: str, committed: Tuple) -> str:
+    """``repr(((thread_forms, rows, owners), committed))`` assembled from
+    its parts' reprs (``global_repr`` is ``repr(rows) + ", " +
+    repr(owners)``) — the very same string, so symmetry candidates rank
+    exactly as by the ``repr`` of the decoded candidate without walking
+    its decoded forms again."""
+    inner = ", ".join(thread_reprs)
+    if len(thread_reprs) == 1:
+        inner += ","
+    return f"((({inner}), {global_repr}), {committed!r})"
+
+
 #: The rules whose enabled instances bar a thread from forming an ample
 #: set: those that read or write the global log (see
 #: ``Machine.RULE_FOOTPRINT``), cheapest probe first and PULL last.
@@ -107,7 +122,9 @@ class Reducer:
     Stateful only in its caches and counters; :meth:`canonical` and
     :meth:`ample_tid` are pure functions of their arguments, which is what
     makes the reduction reproducible across runs and across the parallel
-    explorer's workers.
+    explorer's workers.  The canonical-key and ample caches are keyed on
+    packed bytes (CPython caches ``bytes.__hash__``); every cache lives as
+    long as the reducer.
     """
 
     def __init__(
@@ -127,23 +144,30 @@ class Reducer:
         # Payload-level commutation of two id-free rows; symmetric, so both
         # orientations are stored per query.
         self._commute: Dict[Tuple, bool] = {}
-        # (rows, owner_row) → canonical (rows, owner_row).  G changes on a
-        # minority of transitions, so this cache carries most states.
-        self._g_cache: Dict[Tuple, Tuple] = {}
-        # flag_rows → flag_rows with pld runs normalized.
-        self._l_cache: Dict[Tuple, Tuple] = {}
+        # Packed thread key → (canonical packed thread key, tid, repr of the
+        # decoded canonical ``(tid, code, stack, flag_rows)`` form after its
+        # tid — symmetry ranking reads the form only through its repr).
+        self._threads: Dict[bytes, Tuple[bytes, int, str]] = {}
+        # Packed ``(G codes, owner row)`` → (canonical packed pair, decoded
+        # canonical owners, ``repr(rows) + ", " + repr(owners)`` of the
+        # decoded canonical rows and owners).  G changes on a minority of
+        # transitions, so few distinct pairs carry every state.
+        self._globals: Dict[Tuple[bytes, bytes], Tuple] = {}
         # Packed node key → packed canonical key.  The checker calls
         # :meth:`canonical` once per emitted transition and most states are
-        # revisited, so this front cache keeps the decode→normalize→encode
-        # round-trip off the hot path (bytes keys hash once — CPython
-        # caches ``bytes.__hash__``).
+        # revisited, so this front cache answers most calls outright.
         self._canon_cache: Dict[Tuple, Tuple] = {}
+        # (packed thread key, G codes, owner row, policy) → ample
+        # eligibility of that thread.
+        self._eligible: Dict[Tuple, bool] = {}
         # Counters folded into the report / `por.*` trace stream.
         self.ample_hits = 0
         self.ample_deferred = 0
         self.full_expansions = 0
-        self.g_cache_misses = 0
+        self.ample_probes = 0
         self.canon_decodes = 0
+        self.thread_canon_misses = 0
+        self.global_canon_misses = 0
 
     # ------------------------------------------------------------- movers
 
@@ -163,28 +187,6 @@ class Reducer:
             self._commute[(row2, row1)] = got
         return got
 
-    # ----------------------------------------------------- canonical keys
-
-    def _canon_global(self, rows: Tuple, owner_row: Tuple) -> Tuple:
-        """Trace normal form of G's ``(payload_row, owner)`` sequence."""
-        key = (rows, owner_row)
-        got = self._g_cache.get(key)
-        if got is not None:
-            return got
-        self.g_cache_misses += 1
-        items = trace_normal_form(
-            tuple(zip(rows, owner_row)),
-            lambda a, b: self._rows_commute(a[0][:3], b[0][:3]),
-            repr,
-        )
-        if items:
-            crows, cowners = zip(*items)
-            got = (tuple(crows), tuple(cowners))
-        else:
-            got = ((), ())
-        self._g_cache[key] = got
-        return got
-
     def _local_rows_commute(self, row1: Tuple, row2: Tuple) -> bool:
         """Independence of two local-log rows ``(method, args, ret, kind)``.
 
@@ -201,17 +203,41 @@ class Reducer:
             return False
         return self._rows_commute(row1[:3], row2[:3])
 
-    def _canon_local(self, flag_rows: Tuple) -> Tuple:
-        """The trace normal form of a thread's local-log rows under
-        :meth:`_local_rows_commute` — pulled entries slide into canonical
-        position among themselves and past commuting own entries, so the
-        PULL-permutation blowup collapses to one representative per
-        thread-local trace class."""
-        got = self._l_cache.get(flag_rows)
-        if got is not None:
-            return got
-        got = trace_normal_form(flag_rows, self._local_rows_commute, repr)
-        self._l_cache[flag_rows] = got
+    # ----------------------------------------------------- canonical keys
+
+    def _canon_thread(self, tkey: bytes) -> Tuple[bytes, int, str]:
+        """Decode one packed thread key, bring its local rows to the trace
+        normal form under :meth:`_local_rows_commute` — pulled entries
+        slide into canonical position among themselves and past commuting
+        own entries, so the PULL-permutation blowup collapses to one
+        representative per thread-local trace class — and cache the
+        re-encoded key with the tid and the decoded form's repr tail."""
+        self.thread_canon_misses += 1
+        tid, code, stack, frows = decode_thread_key(tkey)
+        form = (tid, code, stack, trace_normal_form(frows, self._local_rows_commute, repr))
+        got = self._threads[tkey] = (
+            encode_thread_key(form),
+            tid,
+            repr(form)[len(str(tid)) + 1 :],
+        )
+        return got
+
+    def _canon_global(self, gpacked: bytes, opacked: bytes) -> Tuple:
+        """Decode packed ``(G codes, owner row)``, bring G's ``(row,
+        owner)`` sequence to its trace normal form and cache the
+        re-encoded pair with the owners and the rows' and owners' repr."""
+        self.global_canon_misses += 1
+        items = trace_normal_form(
+            tuple(zip(decode_global_rows(gpacked), unpack_owners(opacked))),
+            lambda a, b: self._rows_commute(a[0][:3], b[0][:3]),
+            repr,
+        )
+        rows, owners = (tuple(col) for col in zip(*items)) if items else ((), ())
+        got = self._globals[(gpacked, opacked)] = (
+            (encode_global_rows(rows), pack_owners(owners)),
+            owners,
+            f"{rows!r}, {owners!r}",
+        )
         return got
 
     def canonical(self, nkey: Tuple) -> Tuple:
@@ -221,10 +247,17 @@ class Reducer:
         Applies, in order: per-thread pld-run normalization, global-log
         trace normalization, and (when the scope has interchangeable
         threads) minimization over program-preserving tid permutations.
-        The normalization itself runs on the *decoded* object-level rows
-        (intern ids are process-local and carry no payload order, so the
-        packed codes can't be ranked directly); the result is re-encoded
-        to a packed key.  Decode → normalize → encode is pure and
+        Normalization runs on decoded object-level rows (intern ids are
+        process-local and carry no payload order, so packed codes can't
+        be ranked directly), but one component at a time: each distinct
+        packed thread key and each distinct packed ``(G, owner row)`` pair
+        is decoded, normalized and re-encoded once, then served from a
+        byte-keyed cache.  Without symmetry the canonical key is assembled
+        from those cached bytes alone.  With symmetry the candidates are
+        ranked by the ``repr`` of their decoded form, assembled from
+        per-component reprs held in the same caches
+        (:func:`_candidate_rank`), and only the winner's thread keys are
+        re-packed (its tids renamed).  Everything is pure and
         payload-level — canonical keys of equal states agree across
         processes once digested through
         :func:`repro.checking.parallel.key_digest` (which decodes again).
@@ -234,41 +267,45 @@ class Reducer:
             return got
         self.canon_decodes += 1
         (ptkeys, gpacked, opacked), committed = nkey
-        tkeys = tuple(decode_thread_key(tb) for tb in ptkeys)
-        rows = decode_global_rows(gpacked)
-        owner_row = tuple(unpack_owners(opacked))
-        tkeys = tuple(
-            (tid, code, stack, self._canon_local(frows))
-            for tid, code, stack, frows in tkeys
-        )
-        rows, owner_row = self._canon_global(rows, owner_row)
+        threads = self._threads
+        globals_ = self._globals
+        tcanon = [threads.get(tb) or self._canon_thread(tb) for tb in ptkeys]
+        gcanon = globals_.get((gpacked, opacked)) or self._canon_global(gpacked, opacked)
         # Commit *order* is bookkeeping only — every consumer (the
         # Theorem 5.17 cover check, the CLI reports) reads the committed
         # *set* — so CMT-order interleavings collapse to one key.
         committed = tuple(sorted(committed))
-        best = ((tkeys, rows, owner_row), committed)
+        got = ((tuple(cbytes for cbytes, _, _ in tcanon),) + gcanon[0], committed)
         if self.perms:
             # Tids occur inside heterogeneous tuples, so candidates are
             # ranked by their (deterministic) repr rather than compared
             # structurally.
-            best_rank = repr(best)
+            # ``f"({tid}{tail}"`` is the repr of a thread's decoded form
+            # under tid ``tid``.
+            (cg, _), owners, grepr = gcanon
+            best_rank = _candidate_rank(
+                [f"({tid}{tail}" for _, tid, tail in tcanon], grepr, committed
+            )
+            winner = None
             for perm in self.perms:
-                permuted_tkeys = tuple(
-                    sorted(
-                        ((perm.get(tk[0], tk[0]),) + tk[1:] for tk in tkeys),
-                        key=lambda t: t[0],
-                    )
+                order = sorted(
+                    (perm.get(tid, tid), cbytes, tail) for cbytes, tid, tail in tcanon
                 )
-                powners = tuple(
-                    perm.get(o, o) if o >= 0 else o for o in owner_row
-                )
-                prows, powners = self._canon_global(rows, powners)
+                pkey = (cg, pack_owners(perm.get(o, o) for o in owners))
+                pglobal = globals_.get(pkey) or self._canon_global(*pkey)
                 pcommitted = tuple(sorted(perm.get(t, t) for t in committed))
-                cand = ((permuted_tkeys, prows, powners), pcommitted)
-                rank = repr(cand)
+                rank = _candidate_rank(
+                    [f"({tid}{tail}" for tid, _, tail in order], pglobal[2], pcommitted
+                )
                 if rank < best_rank:
-                    best, best_rank = cand, rank
-        got = encode_node_key(best)
+                    best_rank, winner = rank, (order, pglobal, pcommitted)
+            if winner is not None:
+                order, pglobal, pcommitted = winner
+                got = (
+                    (tuple(pack_i32(tid) + cbytes[4:] for tid, cbytes, _ in order),)
+                    + pglobal[0],
+                    pcommitted,
+                )
         self._canon_cache[nkey] = got
         return got
 
@@ -289,21 +326,33 @@ class Reducer:
         *no* enabled :data:`AMPLE_BLOCKERS` instance (per the checker's
         PULL policy).  The lowest eligible tid wins, making the choice a
         pure function of the state.
+
+        A thread's eligibility is memoized on its packed thread key, the
+        packed G codes and owner row, and the policy — a projection of
+        the raw state key the checker dedups on, which it already treats
+        as deciding every criterion — so the probe runs once per distinct
+        thread configuration.
         """
         policy = (True, pull_allowed, pull_committed_only, pull_budget)
-        for thread in machine.threads:
+        tkeys, gpacked, opacked = machine.state_key()
+        memo = self._eligible
+        for tkey, thread in zip(tkeys, machine.threads):
             if thread.done:
                 continue
-            tid = thread.tid
-            if not machine.any_enabled(tid, ("APP",), policy):
-                continue
-            if machine.any_enabled(tid, AMPLE_BLOCKERS, policy):
-                continue
-            self.ample_hits += 1
-            self.ample_deferred += sum(
-                1 for other in machine.threads if other.tid != tid
-            )
-            return tid
+            key = (tkey, gpacked, opacked, policy)
+            eligible = memo.get(key)
+            if eligible is None:
+                tid = thread.tid
+                self.ample_probes += 1
+                eligible = machine.any_enabled(tid, ("APP",), policy)
+                if eligible:
+                    self.ample_probes += 1
+                    eligible = not machine.any_enabled(tid, AMPLE_BLOCKERS, policy)
+                memo[key] = eligible
+            if eligible:
+                self.ample_hits += 1
+                self.ample_deferred += len(machine.threads) - 1
+                return thread.tid
         self.full_expansions += 1
         return None
 
@@ -316,9 +365,11 @@ class Reducer:
             "por.ample_hits": self.ample_hits,
             "por.ample_deferred": self.ample_deferred,
             "por.full_expansions": self.full_expansions,
-            "por.g_cache_misses": self.g_cache_misses,
-            "por.g_cache_size": len(self._g_cache),
-            "por.l_cache_size": len(self._l_cache),
+            "por.ample_probes": self.ample_probes,
+            "por.thread_canon_misses": self.thread_canon_misses,
+            "por.global_canon_misses": self.global_canon_misses,
+            "por.g_cache_size": len(self._globals),
+            "por.l_cache_size": len(self._threads),
             "por.canon_decodes": self.canon_decodes,
             "por.canon_cache_size": len(self._canon_cache),
             "por.symmetry_perms": len(self.perms),

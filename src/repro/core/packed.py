@@ -25,8 +25,10 @@ Because every code round-trips through the intern tables in
 structure exactly.  The POR canonicalizer and the parallel explorer's
 cross-process digests rely on that: intern ids are process-local, so any
 consumer that needs process-independent or payload-level meaning decodes
-first (:func:`decode_node_key`) and re-encodes after
-(:func:`encode_node_key`).
+first and re-encodes after — whole keys (:func:`decode_state_key` /
+:func:`encode_state_key`), or one component at a time, as the
+canonicalizer does (:func:`decode_thread_key` / :func:`encode_thread_key`,
+:func:`decode_global_rows` / :func:`encode_global_rows`).
 """
 
 from __future__ import annotations
@@ -158,26 +160,26 @@ def encode_thread_key(tkey: Tuple[Any, ...]) -> bytes:
     ).tobytes()
 
 
+def encode_global_rows(rows: Iterable[Tuple[Any, ...]]) -> bytes:
+    """Encode ``((method, args, ret, committed), ...)`` to packed global
+    codes — the inverse of :func:`decode_global_rows`."""
+    return array(
+        "I",
+        [
+            (payload_class_of(method, args, ret) << 1) | (1 if committed else 0)
+            for method, args, ret, committed in rows
+        ],
+    ).tobytes()
+
+
 def encode_state_key(skey: Tuple[Any, ...]) -> Tuple[Any, ...]:
     """Encode an object-level ``(thread_keys, payload_rows, owner_row)``."""
     tkeys, rows, owner_row = skey
     return (
         tuple(encode_thread_key(tb) for tb in tkeys),
-        array(
-            "I",
-            [
-                (payload_class_of(method, args, ret) << 1) | (1 if committed else 0)
-                for method, args, ret, committed in rows
-            ],
-        ).tobytes(),
+        encode_global_rows(rows),
         array("i", owner_row).tobytes(),
     )
-
-
-def encode_node_key(nkey: Tuple[Any, ...]) -> Tuple[Any, ...]:
-    """Encode an object-level checker node key ``(state_key, committed)``."""
-    skey, committed = nkey
-    return (encode_state_key(skey), committed)
 
 
 # ---------------------------------------------------------------------------

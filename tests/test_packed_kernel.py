@@ -148,7 +148,10 @@ def test_rule_enumerations_agree_along_walks(name, seed):
     """At every visited state, every way of asking "which rule instances
     are enabled?" gives one answer: the key-first ``successor_keys``, the
     check-then-construct ``try_apply``, the public rule methods,
-    ``enabled_rules`` and the ample-set eligibility of ``ample_tid``."""
+    ``enabled_rules`` and the ample-set eligibility of ``ample_tid`` —
+    asked twice of the walk's reducer (the second call answers from its
+    eligibility memo, which earlier states also filled) and once of a
+    fresh reducer (a memo miss)."""
     reducer = Reducer(get_spec(name))
     for node in _walk(name, seed):
         machine = node.machine
@@ -175,7 +178,12 @@ def test_rule_enumerations_agree_along_walks(name, seed):
             assert set(machine.enabled_rules(tid)) == names
             if eligible is None and "APP" in names and names <= {"APP", "UNAPP"}:
                 eligible = tid
-        assert reducer.ample_tid(machine, True, False, None) == eligible
+        first = reducer.ample_tid(machine, True, False, None)
+        probes = reducer.ample_probes
+        again = reducer.ample_tid(machine, True, False, None)
+        assert reducer.ample_probes == probes  # answered from the memo
+        fresh = Reducer(get_spec(name)).ample_tid(machine, True, False, None)
+        assert first == again == fresh == eligible
 
 
 def _spawn(spec, programs):

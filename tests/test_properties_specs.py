@@ -16,7 +16,15 @@ from repro.core.precongruence import (
     left_mover_bounded,
     precongruent,
 )
-from repro.specs import BankSpec, CounterSpec, KVMapSpec, MemorySpec, SetSpec
+from repro.serve.shard import make_serve_spec
+from repro.specs import (
+    BankSpec,
+    CounterSpec,
+    KVMapSpec,
+    MemorySpec,
+    OrderedSetSpec,
+    SetSpec,
+)
 
 pytestmark = pytest.mark.slow  # long hypothesis suite: tier-1 runs -m "not slow"
 
@@ -79,6 +87,38 @@ def bank_ops():
             lambda t: ("withdraw", (t[0], t[1]), None)
         ),
         st.sampled_from(ACCOUNTS).map(lambda a: ("balance", (a,), None)),
+    )
+
+
+def orderedset_ops():
+    elements = st.tuples(
+        st.sampled_from(["add", "remove", "contains"]), st.sampled_from((1, 2))
+    ).map(lambda t: (t[0], (t[1],), None))
+    observers = st.sampled_from(
+        [("min", (), None), ("max", (), None), ("size", (), None)]
+    )
+    return st.one_of(elements, observers)
+
+
+def queue_ops():
+    return st.one_of(
+        st.sampled_from(VALUES).map(lambda v: ("enq", (v,), None)),
+        st.sampled_from([("deq", (), None), ("peek", (), None), ("size", (), None)]),
+    )
+
+
+def serve_ops():
+    """Namespaced ops over every component of the serve product
+    (:func:`repro.serve.shard.make_serve_spec`)."""
+
+    def namespaced(name, strategy):
+        return strategy.map(lambda p: (f"{name}.{p[0]}", p[1], None))
+
+    return st.one_of(
+        namespaced("kvmap", kvmap_ops()),
+        namespaced("counter", counter_ops()),
+        namespaced("bank", bank_ops()),
+        namespaced("queue", queue_ops()),
     )
 
 
@@ -218,17 +258,26 @@ def test_precongruence_append_congruence(spec_cls, op_strategy, data):
         assert precongruent(spec, a + tail, b + tail)
 
 
-@pytest.mark.parametrize("spec_cls,op_strategy", SPEC_STRATEGIES)
+@pytest.mark.parametrize(
+    "spec_cls,op_strategy",
+    SPEC_STRATEGIES + [(OrderedSetSpec, orderedset_ops), (make_serve_spec, serve_ops)],
+)
 @SPEC_SETTINGS
 @given(data=st.data())
 def test_footprint_disjointness_implies_commutation(spec_cls, op_strategy, data):
     """The soundness contract drivers rely on: disjoint footprints ⇒
-    commutativity (for realized, allowed rets)."""
+    commutativity (for realized, allowed rets).  Both ops' returns are
+    realized after a random allowed context (``op2`` after ``op1``), so
+    the commuting pair is one the log can actually hold — the pairs a
+    serve-side skip of the mover oracle would see, for every registered
+    spec family the daemon serves."""
     spec = spec_cls()
+    context = realize(spec, data.draw(st.lists(op_strategy(), max_size=3)))
     p1 = data.draw(op_strategy())
     p2 = data.draw(op_strategy())
-    op1 = make_op(p1[0], p1[1], spec.result((), p1[0], p1[1]))
-    op2 = make_op(p2[0], p2[1], spec.result((), p2[0], p2[1]))
+    op1 = make_op(p1[0], p1[1], spec.result(context, p1[0], p1[1]))
+    op2 = make_op(p2[0], p2[1], spec.result(context + (op1,), p2[0], p2[1]))
+    assert spec.allowed(context + (op1, op2))
     if spec.op_footprint(op1).isdisjoint(spec.op_footprint(op2)):
         assert spec.left_mover(op1, op2)
         assert spec.left_mover(op2, op1)

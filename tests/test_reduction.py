@@ -9,15 +9,17 @@ state is reachable from the state via both-mover adjacent swaps only,
 so pruned states never differ observably from the one explored.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.checking import explore, verdict_fingerprint
+from repro.checking import explore, model_checker, verdict_fingerprint
 from repro.checking.model_checker import ExploreOptions
-from repro.checking.reduction import Reducer, _symmetry_perms
+from repro.checking.reduction import Reducer, _candidate_rank, _symmetry_perms
 from repro.cli import SCOPES
 from repro.core.language import call, tx
+from repro.core.packed import decode_node_key, encode_state_key
 from repro.core.precongruence import trace_normal_form
-from repro.specs import CounterSpec
+from repro.specs import CounterSpec, KVMapSpec
 
 
 # Counter payload rows (method, args, ret): inc/dec commute with each
@@ -161,3 +163,164 @@ def test_known_violation_scope_keeps_its_witnesses_with_por():
     assert not off.ok, "scope is supposed to violate without gray criteria"
     assert not on.ok
     assert verdict_fingerprint(on) == verdict_fingerprint(off)
+
+
+# ---------------------------------------------------------------------------
+# The packed canonicalizer against the decode → normalize → encode reference
+# ---------------------------------------------------------------------------
+
+#: The modelcheck benchmark's six scopes: the ``repro modelcheck`` registry
+#: plus a three-thread kvmap scope (put a ‖ put b ‖ get a).
+BENCH_SCOPES = {
+    **SCOPES,
+    "kvmap-3": (
+        KVMapSpec,
+        [tx(call("put", "a", 1)), tx(call("put", "b", 2)), tx(call("get", "a"))],
+    ),
+}
+
+
+def _reference_canonical(reducer, nkey):
+    """The canonical key by whole-key decode → normalize → encode: decode
+    the node key, bring each thread's local rows and G's ``(row, owner)``
+    sequence to their trace normal forms, minimize over the symmetry
+    permutations by ``repr`` and encode the winner.  The specification
+    :meth:`Reducer.canonical`'s cached, component-wise path must match
+    byte for byte."""
+
+    def canon_global(rows, owners):
+        items = trace_normal_form(
+            tuple(zip(rows, owners)),
+            lambda a, b: reducer._rows_commute(a[0][:3], b[0][:3]),
+            repr,
+        )
+        if not items:
+            return (), ()
+        crows, cowners = zip(*items)
+        return tuple(crows), tuple(cowners)
+
+    (tkeys, rows, owners), committed = decode_node_key(nkey)
+    tkeys = tuple(
+        (tid, code, stack, trace_normal_form(frows, reducer._local_rows_commute, repr))
+        for tid, code, stack, frows in tkeys
+    )
+    rows, owners = canon_global(rows, tuple(owners))
+    committed = tuple(sorted(committed))
+    best = ((tkeys, rows, owners), committed)
+    for perm in reducer.perms:
+        ptkeys = tuple(
+            sorted(((perm.get(tk[0], tk[0]),) + tk[1:] for tk in tkeys), key=lambda t: t[0])
+        )
+        prows, powners = canon_global(rows, tuple(perm.get(o, o) for o in owners))
+        pcommitted = tuple(sorted(perm.get(t, t) for t in committed))
+        cand = ((ptkeys, prows, powners), pcommitted)
+        if repr(cand) < repr(best):
+            best = cand
+    skey, committed = best
+    return (encode_state_key(skey), committed)
+
+
+class _SpyReducer(Reducer):
+    """A :class:`Reducer` that records itself and every
+    ``(node key, canonical key)`` pair :meth:`canonical` returns."""
+
+    made = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = []
+        _SpyReducer.made.append(self)
+
+    def canonical(self, nkey):
+        got = super().canonical(nkey)
+        self.calls.append((nkey, got))
+        return got
+
+
+def _explore_spied(monkeypatch, spec_cls, programs, **options):
+    """Explore with POR on (the ``repro modelcheck`` defaults plus
+    ``options``) and return the exploration's reducer."""
+    monkeypatch.setattr(model_checker, "Reducer", _SpyReducer)
+    _SpyReducer.made = []
+    explore(spec_cls(), programs, ExploreOptions(max_states=400_000, por=True, **options))
+    (reducer,) = _SpyReducer.made
+    return reducer
+
+
+@pytest.mark.parametrize(
+    "name,symmetry",
+    [(name, True) for name in sorted(BENCH_SCOPES)] + [("counter-sym", False)],
+)
+def test_canonical_keys_match_whole_key_reference(monkeypatch, name, symmetry):
+    """Every key :meth:`Reducer.canonical` hands the checker while
+    exploring a benchmark scope is byte-identical to the whole-key
+    decode → normalize → encode reference, with the symmetry quotient on
+    and off (only ``counter-sym`` has interchangeable threads, so it is
+    the one scope whose exploration the switch changes)."""
+    spec_cls, programs = BENCH_SCOPES[name]
+    reducer = _explore_spied(monkeypatch, spec_cls, programs, por_symmetry=symmetry)
+    assert reducer.calls
+    assert bool(reducer.perms) == (symmetry and name == "counter-sym")
+    reference = {}
+    for nkey, got in reducer.calls:
+        if nkey not in reference:
+            reference[nkey] = _reference_canonical(reducer, nkey)
+        assert got == reference[nkey], (name, nkey)
+
+
+@pytest.mark.parametrize("threads", [0, 1, 2, 3])
+@pytest.mark.parametrize("committed", [(), (1,), (0, 2)])
+def test_candidate_rank_is_the_candidate_repr(threads, committed):
+    """The symmetry ranking string assembled from component reprs is
+    exactly ``repr`` of the decoded candidate, including the one-element
+    tuple's trailing comma."""
+    code = tx(call("inc"))
+    forms = tuple(
+        (tid, code, None, (("inc", (), None, "pld"),) * tid) for tid in range(threads)
+    )
+    rows, owners = (("inc", (), None, True), ("get", (), 1, False)), (-1, 2)
+    assert _candidate_rank(
+        [repr(form) for form in forms], f"{rows!r}, {owners!r}", committed
+    ) == repr(((forms, rows, owners), committed))
+
+
+#: ``por.canon_decodes`` (front-cache misses) per benchmark scope, with the
+#: defaults: the whole-key decoder's figures, which the cached path keeps.
+CANON_DECODES = {
+    "mem-ww": 64,
+    "mem-wrw": 284,
+    "counter": 574,
+    "kvmap-branch": 1161,
+    "counter-sym": 1758,
+    "kvmap-3": 13828,
+}
+
+
+def test_component_caches_decode_each_input_once(monkeypatch):
+    """Timing-free gate on the canonical and ample paths over the six
+    benchmark scopes.
+
+    Before the byte-keyed component caches, one verification decoded
+    thread keys 48,092 times and global logs 17,669 times, and the ample
+    probe ran ``Machine.any_enabled`` 26,245 times.  Now each distinct
+    packed thread key and each distinct packed ``(G, owner row)`` pair is
+    decoded exactly once (miss counter = cache size), and the probe runs
+    once per distinct thread configuration: 357 thread decodes, 150
+    global decodes (142 raw pairs plus 8 permuted-owner candidates of
+    ``counter-sym``) and 2,063 ``any_enabled`` runs in all.  The front
+    cache still misses once per distinct raw node key, exactly as before.
+    """
+    totals = {"por.thread_canon_misses": 0, "por.global_canon_misses": 0,
+              "por.ample_probes": 0}
+    for name, (spec_cls, programs) in BENCH_SCOPES.items():
+        reducer = _explore_spied(monkeypatch, spec_cls, programs)
+        stats = reducer.emit_stats()
+        assert stats["por.thread_canon_misses"] == stats["por.l_cache_size"], name
+        assert stats["por.global_canon_misses"] == stats["por.g_cache_size"], name
+        assert stats["por.canon_decodes"] == stats["por.canon_cache_size"], name
+        assert stats["por.canon_decodes"] == CANON_DECODES[name], name
+        for key in totals:
+            totals[key] += stats[key]
+    assert totals["por.thread_canon_misses"] <= 357, totals
+    assert totals["por.global_canon_misses"] <= 150, totals
+    assert totals["por.ample_probes"] <= 2063, totals
