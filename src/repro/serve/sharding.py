@@ -48,7 +48,8 @@ KEYED_SPACES = frozenset({"kvmap", "bank"})
 
 class ProtocolError(ValueError):
     """A request violates the wire contract (unknown space/method, wrong
-    arity, non-scalar key) — rejected before execution."""
+    arity, non-scalar or bool key, non-positive or non-int bank amount) —
+    rejected before execution."""
 
 
 def validate_op(op: Sequence) -> Tuple[str, str, Tuple]:
@@ -67,10 +68,20 @@ def validate_op(op: Sequence) -> Tuple[str, str, Tuple]:
         raise ProtocolError(
             f"{space}.{method} takes {table[method]} argument(s), got {len(args)}"
         )
-    if space in KEYED_SPACES and not isinstance(args[0], (str, int)):
+    # bool is an int subclass: True would alias key 1 in a shard's state
+    # yet route by repr to a different shard.
+    if space in KEYED_SPACES and (
+        isinstance(args[0], bool) or not isinstance(args[0], (str, int))
+    ):
         raise ProtocolError(
             f"{space}.{method} key must be a JSON string or integer, "
             f"got {type(args[0]).__name__}"
+        )
+    if space == "bank" and method in ("deposit", "withdraw") and (
+        isinstance(args[1], bool) or not isinstance(args[1], int) or args[1] <= 0
+    ):
+        raise ProtocolError(
+            f"bank.{method} amount must be a positive integer, got {args[1]!r}"
         )
     return space, method, args
 

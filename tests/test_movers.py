@@ -5,8 +5,12 @@ on (e.g. "operations on distinct keys commute" for boosting, "a read of
 the pre-write value is no mover past the write" for optimistic validation).
 """
 
+import random
+from itertools import product
+
 import pytest
 
+from repro.core.errors import SpecError
 from repro.core.ops import make_op
 from repro.core.precongruence import both_mover, left_mover, right_mover
 from repro.specs import (
@@ -18,6 +22,7 @@ from repro.specs import (
     SetSpec,
     StackSpec,
 )
+from repro.serve.shard import ShardConfig, ShardState
 
 
 class TestMemoryMovers:
@@ -224,6 +229,175 @@ class TestBankMovers:
         w = make_op("withdraw", ("p", 2), True)
         bal = make_op("balance", ("p",), 2)
         assert not left_mover(self.spec, w, bal)
+
+
+class ProductBasisBankSpec(BankSpec):
+    """Reference for the bank hot path: the oracle basis and ``perform``
+    that the per-account basis and the tuple splice replaced, kept
+    verbatim and test-only.  One candidate list built from *both* ops'
+    amounts is given to *every* mentioned account (a product of ~11×11
+    states for distinct accounts), and every ``perform`` rebuilds a dict
+    and re-sorts it."""
+
+    @staticmethod
+    def freeze(mapping):
+        return tuple(sorted((k, v) for k, v in mapping.items() if v != 0))
+
+    def perform(self, state, method, args):
+        balances = dict(state)
+        if method == "deposit":
+            account, amount = args
+            if amount <= 0:
+                raise SpecError("deposit amount must be positive")
+            balances[account] = balances.get(account, 0) + amount
+            return None, self.freeze(balances)
+        if method == "withdraw":
+            account, amount = args
+            if amount <= 0:
+                raise SpecError("withdraw amount must be positive")
+            if balances.get(account, 0) >= amount:
+                balances[account] = balances[account] - amount
+                return True, self.freeze(balances)
+            return False, state
+        if method == "balance":
+            (account,) = args
+            return balances.get(account, 0), state
+        raise SpecError(f"BankSpec has no method {method!r}")
+
+    def mover_states(self, op1, op2):
+        accounts = sorted({op1.args[0], op2.args[0]}, key=repr)
+        amounts = []
+        for op in (op1, op2):
+            if op.method in ("deposit", "withdraw"):
+                amounts.append(op.args[1])
+            if op.method == "balance":
+                amounts.append(op.ret)
+        sums = {0}
+        for a in amounts:
+            sums |= {s + a for s in sums}
+        candidates = sorted(
+            {max(0, s + d) for s in sums for d in (-1, 0, 1)}
+            | {max(0, s1 - s2) for s1 in sums for s2 in sums}
+        )
+        return [
+            self.freeze(dict(zip(accounts, assignment)))
+            for assignment in product(candidates, repeat=len(accounts))
+        ]
+
+
+def bank_grid():
+    """Every bank op over accounts a/b, amounts 1–5, balance returns 0–7
+    and both withdraw outcomes: 46 ops, 2,116 ordered pairs."""
+    ops = []
+    for account in "ab":
+        for amount in range(1, 6):
+            ops.append(make_op("deposit", (account, amount), None))
+            ops.append(make_op("withdraw", (account, amount), True))
+            ops.append(make_op("withdraw", (account, amount), False))
+        for ret in range(8):
+            ops.append(make_op("balance", (account,), ret))
+    return ops
+
+
+class TestBankOracleIdentity:
+    """The per-account basis decides exactly what the product basis did."""
+
+    def test_left_mover_and_commutes_agree_on_the_grid(self):
+        spec, reference = BankSpec(), ProductBasisBankSpec()
+        ops = bank_grid()
+        assert len(ops) ** 2 == 2116
+        for op1 in ops:
+            for op2 in ops:
+                assert spec.left_mover(op1, op2) == reference.left_mover(op1, op2), (
+                    op1, op2)
+                assert spec.commutes(op1, op2) == reference.commutes(op1, op2), (
+                    op1, op2)
+
+    def test_same_account_basis_is_unchanged(self):
+        spec, reference = BankSpec(), ProductBasisBankSpec()
+        ops = bank_grid()
+        for op1 in ops:
+            for op2 in ops:
+                if op1.args[0] == op2.args[0]:
+                    assert spec.mover_states(op1, op2) == reference.mover_states(op1, op2)
+
+    def test_distinct_account_basis_is_at_most_five_by_five(self):
+        spec = BankSpec()
+        ops = bank_grid()
+        sizes = {(op1, op2): len(spec.mover_states(op1, op2))
+                 for op1 in ops for op2 in ops}
+        assert max(n for (op1, op2), n in sizes.items()
+                   if op1.args[0] != op2.args[0]) <= 25
+        assert sum(sizes.values()) == 28048  # the product basis: 73,348
+
+    def test_basis_states_are_canonical(self):
+        # frozen tuples a ``perform`` could have produced: sorted, no zeros
+        spec = BankSpec()
+        d = make_op("deposit", (1, 2), None)
+        w = make_op("withdraw", ("a", 3), True)
+        for state in spec.mover_states(d, w):
+            assert isinstance(state, tuple)
+            assert all(balance != 0 for _account, balance in state)
+            assert [a for a, _ in state] in ([], [1], ["a"], [1, "a"])
+
+
+#: accounts and waves of the step-complexity gate (one shard, fixed seed)
+STEP_ACCOUNTS = [f"acct{i}" for i in range(6)]
+STEP_WAVES, STEP_TXNS = 12, 8
+
+
+class TestBankStepComplexity:
+    """Timing-free ceilings on the bank hot path, in steps per committed
+    transaction (Kuznetsov & Ravi's step complexity): a fixed seeded
+    sequence of transfer/balance waves on one shard, with ``perform`` and
+    ``mover_states`` wrapped by counters.  On this sequence all 96 txns
+    commit through 1,120 ``mover_states`` calls.  The product basis with
+    dict-rebuilding ``perform`` took 2,024.89 ``perform`` calls per
+    committed txn and 61.38 basis states per call; the per-account basis
+    with the tuple splice takes 664.98 and 18.81.  The ceilings are those
+    figures rounded up."""
+
+    PERFORM_PER_TXN = 665.0
+    STATES_PER_CALL = 18.82
+
+    def _measure(self, monkeypatch):
+        counts = {"perform": 0, "calls": 0, "states": 0}
+        perform, mover_states = BankSpec.perform, BankSpec.mover_states
+
+        def counting_perform(spec, state, method, args):
+            counts["perform"] += 1
+            return perform(spec, state, method, args)
+
+        def counting_mover_states(spec, op1, op2):
+            states = mover_states(spec, op1, op2)
+            counts["calls"] += 1
+            counts["states"] += len(states)
+            return states
+
+        monkeypatch.setattr(BankSpec, "perform", counting_perform)
+        monkeypatch.setattr(BankSpec, "mover_states", counting_mover_states)
+        rng = random.Random("bank-step-complexity")
+        shard = ShardState(ShardConfig(shards=1, root_seed=3))
+        committed = 0
+        for wave in range(STEP_WAVES):
+            items = []
+            for i in range(STEP_TXNS):
+                a, b = rng.sample(STEP_ACCOUNTS, 2)
+                if rng.random() < 0.2:
+                    ops = [["bank", "balance", a], ["bank", "balance", b]]
+                else:
+                    amount = rng.randint(1, 5)
+                    ops = [["bank", "deposit", a, amount],
+                           ["bank", "withdraw", b, amount]]
+                items.append({"id": f"{wave}.{i}", "ops": ops, "attempts": 0})
+            committed += sum(o.ok for o in shard.execute_wave(items))
+        return committed, counts
+
+    def test_steps_per_committed_txn_stay_at_or_below_the_ceilings(self, monkeypatch):
+        committed, counts = self._measure(monkeypatch)
+        assert committed > 0 and counts["calls"] > 0
+        assert counts["perform"] / committed <= self.PERFORM_PER_TXN
+        assert counts["states"] / counts["calls"] <= self.STATES_PER_CALL
 
 
 class TestMemoizedMovers:

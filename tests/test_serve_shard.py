@@ -152,6 +152,61 @@ def test_wave_dispatch_via_shard_request():
     assert not bad["ok"] and bad["kind"] == "protocol"
 
 
+def _wave_request(state, rid, *txns):
+    return handle_shard_request(state, {
+        "id": rid,
+        "method": "wave",
+        "txns": [{"id": f"{rid}.{i}", "ops": list(ops), "attempts": 0}
+                 for i, ops in enumerate(txns)],
+    })
+
+
+def test_int_and_str_bank_accounts_share_a_shard():
+    """An int and a str account live in one bank state.  Once they could
+    not be sorted together: the wave below raised inside the spec, was
+    answered ``internal`` as a whole (the kvmap txn too), and stranded
+    its threads, so every later conformance verdict failed."""
+    state = _state(shards=1)
+    first = _wave_request(state, 1, [["bank", "deposit", "a", 5]])
+    assert first["ok"] and first["outcomes"][0]["ok"]
+    mixed = _wave_request(
+        state, 2, [["kvmap", "put", "k", 1]], [["bank", "deposit", 7, 3]]
+    )
+    assert mixed["ok"]
+    assert [o["ok"] for o in mixed["outcomes"]] == [True, True]
+    verdict = state.run_conformance()
+    assert verdict["ok"] and verdict["failures"] == []
+    later = _wave_request(
+        state, 3, [["kvmap", "put", "k", 2]],
+        [["bank", "balance", 7], ["bank", "balance", "a"]],
+    )
+    assert [o["ok"] for o in later["outcomes"]] == [True, True]
+    assert later["outcomes"][1]["results"] == [3, 5]
+    assert state.run_conformance()["ok"]
+
+
+def test_bad_bank_amounts_and_bool_keys_are_protocol_errors():
+    """Requests the bank spec cannot execute are refused at validation,
+    never raised mid-transaction (and requeued as conflicts)."""
+    state = _state(shards=1)
+    bad = [
+        [["bank", "deposit", "a", 0]],
+        [["bank", "withdraw", "a", -2]],
+        [["bank", "deposit", "a", "5"]],
+        [["bank", "deposit", "a", 2.5]],
+        [["bank", "withdraw", "a", True]],
+        [["bank", "deposit", True, 1]],
+        [["kvmap", "put", False, 1]],
+    ]
+    reply = _wave_request(state, 1, *bad, [["bank", "deposit", 1, 1]])
+    outcomes = reply["outcomes"]
+    assert [o["ok"] for o in outcomes] == [False] * len(bad) + [True]
+    assert all(o["kind"] == "protocol" and not o["retry"] for o in outcomes[:-1])
+    prepared = state.prepare("x1", [["bank", "deposit", "a", 0]])
+    assert not prepared["ok"] and prepared["kind"] == "protocol"
+    assert state.run_conformance()["ok"]
+
+
 def test_identical_configs_are_deterministic():
     """The whole shard is a pure function of (seed, workload): same
     config + same request sequence -> same outcomes, same history."""

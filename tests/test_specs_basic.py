@@ -1,9 +1,14 @@
 """Behavioural tests for every concrete sequential specification."""
 
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import SpecError
 from repro.core.ops import make_op
+from repro.core.spec import RebasedStateSpec
+from repro.durable.records import decode_state, encode_state
 from repro.specs import (
     BankSpec,
     CounterSpec,
@@ -16,6 +21,7 @@ from repro.specs import (
     spec_names,
 )
 from repro.specs.product import ProductSpec, split_method
+from tests.test_movers import ProductBasisBankSpec
 
 
 def replay_ok(spec, triples):
@@ -203,6 +209,86 @@ class TestBankSpec:
             spec.result((), "deposit", ("a", 0))
         with pytest.raises(SpecError):
             spec.result((), "withdraw", ("a", -1))
+
+
+def _bank_steps(accounts):
+    """Op sequences over ``accounts``: small amounts (non-positive ones
+    included, to pin the error path) so balances often return to 0."""
+    step = st.one_of(
+        st.tuples(st.sampled_from(["deposit", "withdraw"]),
+                  st.sampled_from(accounts), st.integers(-1, 4)),
+        st.tuples(st.just("balance"), st.sampled_from(accounts)),
+    )
+    return st.lists(step, max_size=30)
+
+
+def _run_bank(spec, state, steps):
+    """``(ret, state)`` after each step, or the SpecError message."""
+    trace = []
+    for method, account, *amount in steps:
+        try:
+            ret, state = spec.perform(state, method, (account, *amount))
+        except SpecError as exc:
+            trace.append(str(exc))
+            continue
+        trace.append((ret, state))
+    return trace
+
+
+class TestBankPerformIdentity:
+    """The binary-search splice ``perform`` against the dict-rebuilding
+    reference: identical returns and identical state tuples."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_bank_steps(["a", "b", "acct10", "acct9"]),
+                     _bank_steps([0, 1, 7, -3])))
+    def test_single_type_accounts_match_the_reference(self, steps):
+        spec, reference = BankSpec(), ProductBasisBankSpec()
+        assert _run_bank(spec, (), steps) == _run_bank(reference, (), steps)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_bank_steps(["a", "b", 0, 1, 7]))
+    def test_mixed_accounts_sort_ints_before_strs(self, steps):
+        # the reference's dict semantics, frozen in the total key order
+        reference = ProductBasisBankSpec()
+        reference.freeze = lambda mapping: tuple(sorted(
+            ((k, v) for k, v in mapping.items() if v != 0),
+            key=lambda kv: (isinstance(kv[0], str), kv[0]),
+        ))
+        trace = _run_bank(BankSpec(), (), steps)
+        assert trace == _run_bank(reference, (), steps)
+        for row in trace:
+            if isinstance(row, tuple):
+                assert all(balance > 0 for _account, balance in row[1])
+
+    @settings(max_examples=50, deadline=None)
+    @given(_bank_steps(["a", "b", "c"]))
+    def test_states_round_trip_the_codec_and_a_rebased_spec(self, steps):
+        spec = BankSpec()
+        states = [row[1] for row in _run_bank(spec, (), steps)
+                  if isinstance(row, tuple)]
+        for state in states:
+            wire = json.loads(json.dumps(encode_state(state)))
+            assert decode_state(wire) == state
+            rebased = RebasedStateSpec(spec, decode_state(wire))
+            assert rebased.initial_state() == state
+            assert _run_bank(rebased, rebased.initial_state(), steps) == \
+                _run_bank(spec, state, steps)
+
+    def test_zero_balance_is_dropped(self):
+        spec = BankSpec([("b", 2)])
+        _, state = spec.perform(spec.initial_state(), "deposit", ("a", 3))
+        assert state == (("a", 3), ("b", 2))
+        assert spec.perform(state, "withdraw", ("a", 3)) == (True, (("b", 2),))
+        assert spec.perform(state, "withdraw", ("b", 2)) == (True, (("a", 3),))
+        assert spec.perform(state, "withdraw", ("c", 1)) == (False, state)
+
+    def test_int_and_str_accounts_share_a_state(self):
+        spec = BankSpec([("x", 1), (5, 2)])
+        assert spec.initial_state() == ((5, 2), ("x", 1))
+        _, state = spec.perform(spec.initial_state(), "deposit", (-1, 4))
+        assert state == ((-1, 4), (5, 2), ("x", 1))
+        assert spec.perform(state, "balance", ("x",)) == (1, state)
 
 
 class TestRegistry:
